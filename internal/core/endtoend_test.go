@@ -17,7 +17,7 @@ func runEndToEnd(t *testing.T, s sched.Scheduler, jobs int, seed int64) *metrics
 	simulator, err := sim.New(sim.Config{
 		Cluster: cluster.Config{Servers: 4, GPUsPerServer: 4, GPUCapacity: 1,
 			CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200},
-		Trace:     trace.Generate(trace.GenConfig{Jobs: jobs, Seed: seed, DurationSec: 2 * 3600}),
+		Source:    trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: jobs, Seed: seed, DurationSec: 2 * 3600})),
 		Scheduler: s,
 	})
 	if err != nil {

@@ -22,7 +22,7 @@ func runSim(t testing.TB, cfg Config, reference bool) *metrics.Result {
 	simulator, err := sim.New(sim.Config{
 		Cluster: cluster.Config{Servers: 6, GPUsPerServer: 4, GPUCapacity: 1,
 			CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200},
-		Trace:     trace.Generate(trace.GenConfig{Jobs: 40, Seed: 17, DurationSec: 3 * 3600}),
+		Source:    trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: 40, Seed: 17, DurationSec: 3 * 3600})),
 		Scheduler: s,
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func TestMinibatchTakesFewerSteps(t *testing.T) {
 		simulator, err := sim.New(sim.Config{
 			Cluster: cluster.Config{Servers: 6, GPUsPerServer: 4, GPUCapacity: 1,
 				CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200},
-			Trace:     trace.Generate(trace.GenConfig{Jobs: 40, Seed: 17, DurationSec: 3 * 3600}),
+			Source:    trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: 40, Seed: 17, DurationSec: 3 * 3600})),
 			Scheduler: s,
 		})
 		if err != nil {

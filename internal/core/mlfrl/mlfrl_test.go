@@ -163,7 +163,7 @@ func TestMLFRLEndToEnd(t *testing.T) {
 	simulator, err := sim.New(sim.Config{
 		Cluster: cluster.Config{Servers: 4, GPUsPerServer: 4, GPUCapacity: 1,
 			CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200},
-		Trace:     trace.Generate(trace.GenConfig{Jobs: 25, Seed: 31, DurationSec: 2 * 3600}),
+		Source:    trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: 25, Seed: 31, DurationSec: 2 * 3600})),
 		Scheduler: New(cfg),
 	})
 	if err != nil {

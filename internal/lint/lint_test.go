@@ -214,7 +214,7 @@ func TestDeterministicRegistry(t *testing.T) {
 	for _, path := range []string{
 		"mlfs/internal/sim", "mlfs/internal/sched", "mlfs/internal/cluster",
 		"mlfs/internal/core", "mlfs/internal/core/mlfc", "mlfs/internal/core/mlfrl",
-		"mlfs/internal/baselines", "mlfs/internal/queue",
+		"mlfs/internal/baselines",
 	} {
 		if !isDeterministicPath(path) {
 			t.Errorf("%s must be in the deterministic registry", path)

@@ -50,7 +50,6 @@ var DeterministicPaths = []string{
 	"mlfs/internal/cluster",
 	"mlfs/internal/core",
 	"mlfs/internal/baselines",
-	"mlfs/internal/queue",
 	"mlfs/internal/nn",
 	"mlfs/internal/snapshot",
 	"mlfs/internal/trace",

@@ -71,17 +71,14 @@ type Result struct {
 // (§4.2.2: levels drawn from [1,10], urgent when > 8).
 const UrgentThreshold = 8
 
-// Tally is the per-job summary Compute folds over: everything a job
-// contributes to a Result, reduced to a few scalars. The simulator's
-// streaming mode records a Tally when it retires a job so the job object
-// itself can be dropped; ComputeFromTallies then reproduces Compute's
-// result bit-identically (identical fold order, identical float
-// operations) without the jobs ever coexisting in memory.
+// Tally is the per-job summary ComputeFromTallies folds over:
+// everything a job contributes to a Result, reduced to a few scalars.
+// The simulator records a Tally when it retires a job so the job object
+// itself can be dropped; the jobs of a run never coexist in memory.
 type Tally struct {
-	// SimIndex orders the fold: Compute sums in jobs-slice order, which
-	// is the simulator's SimIndex (arrival) order, and float addition is
-	// not associative — so tallies recorded in finish order must be
-	// folded back in SimIndex order to land on the same bits.
+	// SimIndex orders the fold: float addition is not associative, so
+	// tallies recorded in finish order are folded in SimIndex (arrival)
+	// order to land on the same bits however the run retired them.
 	SimIndex int
 
 	JCT     float64
@@ -110,22 +107,12 @@ func TallyOf(j *job.Job) Tally {
 	}
 }
 
-// Compute summarises jobs plus counters into a Result. Jobs that never
-// finished (truncated) count against every ratio and contribute their
-// elapsed time as JCT, so truncation can only hurt a scheduler, never
-// flatter it.
-func Compute(scheduler string, jobs []*job.Job, c Counters) *Result {
-	tallies := make([]Tally, len(jobs))
-	for i, j := range jobs {
-		tallies[i] = TallyOf(j)
-	}
-	return ComputeFromTallies(scheduler, tallies, c)
-}
-
-// ComputeFromTallies is Compute over pre-reduced per-job tallies. It
-// sorts by SimIndex first, so a tally set accumulated in any order (the
-// streaming simulator retires jobs in finish order) folds exactly like
-// Compute's jobs-slice loop. tallies is sorted in place.
+// ComputeFromTallies summarises per-job tallies plus counters into a
+// Result. It sorts by SimIndex first, so a tally set accumulated in any
+// order (the simulator retires jobs in finish order) folds identically;
+// tallies is sorted in place. Jobs that never finished (truncated)
+// count against every ratio and contribute their elapsed time as JCT,
+// so truncation can only hurt a scheduler, never flatter it.
 func ComputeFromTallies(scheduler string, tallies []Tally, c Counters) *Result {
 	r := &Result{Scheduler: scheduler, Jobs: len(tallies), Counters: c}
 	if len(tallies) == 0 {

@@ -18,13 +18,24 @@ func doneJob(id int64, arrival, finish, deadline, wait, acc, target float64, urg
 	return j
 }
 
+// compute folds finished jobs the way the simulator does: one tally per
+// job, SimIndex in slice order.
+func compute(scheduler string, jobs []*job.Job, c Counters) *Result {
+	tallies := make([]Tally, len(jobs))
+	for i, j := range jobs {
+		j.SimIndex = i
+		tallies[i] = TallyOf(j)
+	}
+	return ComputeFromTallies(scheduler, tallies, c)
+}
+
 func TestComputeBasics(t *testing.T) {
 	jobs := []*job.Job{
 		doneJob(1, 0, 100, 200, 10, 0.9, 0.8, 9),   // ok, ok, urgent ok
 		doneJob(2, 0, 300, 200, 30, 0.7, 0.8, 9),   // miss, miss, urgent miss
 		doneJob(3, 50, 150, 400, 20, 0.85, 0.8, 2), // ok, ok, not urgent
 	}
-	r := Compute("test", jobs, Counters{SchedRounds: 4, SchedSeconds: 0.008})
+	r := compute("test", jobs, Counters{SchedRounds: 4, SchedSeconds: 0.008})
 	if r.Jobs != 3 {
 		t.Fatalf("Jobs = %d", r.Jobs)
 	}
@@ -55,7 +66,7 @@ func TestComputeBasics(t *testing.T) {
 }
 
 func TestComputeEmpty(t *testing.T) {
-	r := Compute("x", nil, Counters{})
+	r := compute("x", nil, Counters{})
 	if r.Jobs != 0 || r.AvgJCTSec != 0 || r.SchedOverheadMS() != 0 {
 		t.Fatal("empty result must be zeroed")
 	}
@@ -95,11 +106,11 @@ func TestFractionUnder(t *testing.T) {
 		doneJob(1, 0, 50*60, 1e9, 0, 0.9, 0.5, 1),
 		doneJob(2, 0, 150*60, 1e9, 0, 0.9, 0.5, 1),
 	}
-	r := Compute("x", jobs, Counters{})
+	r := compute("x", jobs, Counters{})
 	if f := r.FractionUnder(100 * 60); f != 0.5 {
 		t.Fatalf("FractionUnder = %v", f)
 	}
-	empty := Compute("x", nil, Counters{})
+	empty := compute("x", nil, Counters{})
 	if empty.FractionUnder(100) != 0 {
 		t.Fatal("empty FractionUnder must be 0")
 	}

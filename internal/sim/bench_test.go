@@ -25,7 +25,7 @@ func steadySim(tb testing.TB, jobs int, workers int) *Simulator {
 	tb.Helper()
 	s, err := New(Config{
 		Cluster:        testClusterCfg(),
-		Trace:          smallTrace(jobs, 17),
+		Source:         smallSource(jobs, 17),
 		Scheduler:      fifoGang{},
 		AdvanceWorkers: workers,
 	})
@@ -33,7 +33,7 @@ func steadySim(tb testing.TB, jobs int, workers int) *Simulator {
 		tb.Fatal(err)
 	}
 	// Admit and place everything the cluster can hold.
-	for s.pending < len(s.jobs) {
+	for s.pending < s.total {
 		s.admitArrivals()
 		s.step(s.cfg.TickSec)
 	}
@@ -117,7 +117,7 @@ func benchBacklogSim(tb testing.TB, jobs int, fullRescan bool) *Simulator {
 	tb.Helper()
 	s, err := New(Config{
 		Cluster:    testClusterCfg(),
-		Trace:      smallTrace(jobs, 99),
+		Source:     smallSource(jobs, 99),
 		Scheduler:  core.NewMLFH(),
 		FullRescan: fullRescan,
 	})
@@ -129,8 +129,8 @@ func benchBacklogSim(tb testing.TB, jobs int, fullRescan bool) *Simulator {
 	if err := s.admitArrivals(); err != nil {
 		tb.Fatal(err)
 	}
-	if s.pending != len(s.jobs) {
-		tb.Fatalf("admitted %d of %d jobs", s.pending, len(s.jobs))
+	if s.pending != s.total {
+		tb.Fatalf("admitted %d of %d jobs", s.pending, s.total)
 	}
 	s.runScheduler()
 	s.runScheduler()

@@ -25,7 +25,7 @@ import "math"
 //     extends the horizon on its own. Within live periods the pending
 //     releases are tracked in a min-heap (retryHeap) so the per-tick
 //     release scan is skipped in O(1) until the earliest backoff expires.
-//   - next admission arrival: the head of the un-admitted trace or
+//   - next admission arrival: the head of the un-admitted source
 //     stream, the only event source that can wake an idle simulator.
 //   - next fault/repair event: provably inert while idle, and pruned
 //     from the horizon. The tick loop batch-applies every fault event

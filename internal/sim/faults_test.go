@@ -16,7 +16,7 @@ import (
 func faultCfg(jobs int, seed int64, workers int) Config {
 	return Config{
 		Cluster:        testClusterCfg(),
-		Trace:          smallTrace(jobs, seed),
+		Source:         smallSource(jobs, seed),
 		Scheduler:      fifoGang{},
 		AdvanceWorkers: workers,
 		Failures:       FailureConfig{MTTFSec: 2 * 3600, MTTRSec: 600, Seed: 9},
@@ -49,10 +49,10 @@ func TestFailureRunCompletes(t *testing.T) {
 // TestFailureDisabledBitIdentical is the zero-config guarantee: a zeroed
 // FailureConfig must reproduce the failure-free run bit for bit.
 func TestFailureDisabledBitIdentical(t *testing.T) {
-	base := Config{Cluster: testClusterCfg(), Trace: smallTrace(15, 7), Scheduler: fifoGang{}}
+	base := Config{Cluster: testClusterCfg(), Source: smallSource(15, 7), Scheduler: fifoGang{}}
 	a := run(t, base)
 	withZero := base
-	withZero.Trace = smallTrace(15, 7)
+	withZero.Source = smallSource(15, 7)
 	withZero.Failures = FailureConfig{} // explicit zero value
 	b := run(t, withZero)
 	a.Counters.SchedSeconds, b.Counters.SchedSeconds = 0, 0
@@ -85,7 +85,7 @@ func TestCheckpointReplayBound(t *testing.T) {
 	defer s.closePool()
 	k := float64(s.cfg.Failures.CheckpointEveryIters)
 	checked := 0
-	for i := 0; i < 5000 && (s.pending < len(s.jobs) || len(s.active) > 0); i++ {
+	for i := 0; i < 5000 && (s.pending < s.total || len(s.active) > 0); i++ {
 		s.admitArrivals()
 		s.step(s.cfg.TickSec)
 		for _, j := range s.active {
@@ -120,6 +120,7 @@ func TestRetryBudgetKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	retired := collectRetired(s)
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestRetryBudgetKills(t *testing.T) {
 		t.Fatal("no kills under MTTF=15min, MaxRetries=1")
 	}
 	killed := 0
-	for _, j := range s.jobs {
+	for _, j := range *retired {
 		if j.State == job.Killed {
 			killed++
 			if !j.Done() {
@@ -146,22 +147,21 @@ func TestRetryBudgetKills(t *testing.T) {
 
 // coLocatedSim builds a simulator with fault injection enabled but an
 // MTTF far beyond any horizon (the only failures are the ones a test
-// injects by hand), and packs every task of its single multi-task job
-// onto server 0.
+// injects by hand), admits its single multi-task job and packs every
+// task of it onto server 0.
 func coLocatedSim(t *testing.T, failures FailureConfig) (*Simulator, *job.Job) {
 	t.Helper()
-	tr := &trace.Trace{DurationSec: 100}
-	tr.Records = append(tr.Records, trace.Record{
+	src := oneJobSource(trace.Record{
 		JobID: 1, ArrivalSec: 0, GPUs: 4, Family: 2, /* MLP */
 		Comm: job.AllReduce, Urgency: 1, TargetFrac: 0.8, TrainDataMB: 500,
 		CommVolPS: 60, CommVolWW: 60, DeadlineSlackSec: 24 * 3600, Seed: 7,
 	})
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{},
+	s, err := New(Config{Cluster: testClusterCfg(), Source: src, Scheduler: fifoGang{},
 		Failures: failures})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := s.jobs[0]
+	j := admitFirst(t, s)
 	if len(j.Tasks) < 2 || len(j.Tasks) > 4 {
 		t.Fatalf("setup: want 2–4 tasks to co-locate on one server, got %d", len(j.Tasks))
 	}
@@ -289,7 +289,7 @@ func TestBackoffParksJobs(t *testing.T) {
 	}
 	defer s.closePool()
 	sawParked := false
-	for i := 0; i < 5000 && (s.pending < len(s.jobs) || len(s.active) > 0); i++ {
+	for i := 0; i < 5000 && (s.pending < s.total || len(s.active) > 0); i++ {
 		s.admitArrivals()
 		s.step(s.cfg.TickSec)
 		for _, j := range s.parked {

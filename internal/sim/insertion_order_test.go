@@ -17,7 +17,7 @@ import (
 // runWithAdmitOrder executes a run with the admitOrder seam installed.
 func runWithAdmitOrder(t *testing.T, mk func() sched.Scheduler, perm func([]*job.Task) []*job.Task) *metrics.Result {
 	t.Helper()
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: smallTrace(25, 17), Scheduler: mk()})
+	s, err := New(Config{Cluster: testClusterCfg(), Source: smallSource(25, 17), Scheduler: mk()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestResultsIndependentOfWaitingMapInsertionOrder(t *testing.T) {
 // TestAdmitOrderSeamPermutes sanity-checks the seam itself: a reversing
 // permutation must still queue every task exactly once.
 func TestAdmitOrderSeamPermutes(t *testing.T) {
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: smallTrace(5, 2), Scheduler: fifoGang{}})
+	s, err := New(Config{Cluster: testClusterCfg(), Source: smallSource(5, 2), Scheduler: fifoGang{}})
 	if err != nil {
 		t.Fatal(err)
 	}

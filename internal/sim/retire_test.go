@@ -54,11 +54,12 @@ func driveToEnd(t *testing.T, s *Simulator, check func()) {
 // the cache must never have outgrown the peak live population.
 func TestRetirementKeepsHotSetsTight(t *testing.T) {
 	s, err := New(Config{
-		Cluster: testClusterCfg(), Trace: smallTrace(30, 9), Scheduler: fifoGang{},
+		Cluster: testClusterCfg(), Source: smallSource(30, 9), Scheduler: fifoGang{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	retired := collectRetired(s)
 	maxActive := 0
 	driveToEnd(t, s, func() {
 		for _, j := range s.active {
@@ -82,16 +83,19 @@ func TestRetirementKeepsHotSetsTight(t *testing.T) {
 	if len(s.cache) > maxActive {
 		t.Fatalf("cache grew to %d slots, peak live was %d", len(s.cache), maxActive)
 	}
-	for _, j := range s.jobs {
+	if len(*retired) != 30 {
+		t.Fatalf("%d jobs retired, want 30", len(*retired))
+	}
+	for _, j := range *retired {
 		if !j.Done() {
 			t.Fatalf("job %d not finished", j.ID)
 		}
 	}
 }
 
-// TestSourceModeRetiresJobObjects runs a streaming-source simulation and
+// TestSourceModeRetiresJobObjects runs a synthetic Philly stream and
 // asserts every submission ends up as a tally (the only state that may
-// outlive retirement in source mode) with the live sets fully drained.
+// outlive retirement) with the live sets fully drained.
 func TestSourceModeRetiresJobObjects(t *testing.T) {
 	src := philly.NewSynthetic(philly.SynthConfig{Jobs: 40, Seed: 11, DurationSec: 3600})
 	s, err := New(Config{
@@ -135,14 +139,14 @@ func backlogSim(tb testing.TB, total, live int) *Simulator {
 	tb.Helper()
 	s, err := New(Config{
 		Cluster:        testClusterCfg(),
-		Trace:          smallTrace(total, 23),
+		Source:         smallSource(total, 23),
 		Scheduler:      fifoGang{},
 		AdvanceWorkers: 1,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for s.pending < len(s.jobs) {
+	for s.pending < s.total {
 		if err := s.admitArrivals(); err != nil {
 			tb.Fatal(err)
 		}

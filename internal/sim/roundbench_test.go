@@ -15,7 +15,7 @@ func TestRoundScanBenchModesAgree(t *testing.T) {
 		t.Helper()
 		s, err := New(Config{
 			Cluster:    testClusterCfg(),
-			Trace:      smallTrace(300, 99),
+			Source:     smallSource(300, 99),
 			Scheduler:  core.NewMLFH(),
 			FullRescan: fullRescan,
 		})
@@ -54,7 +54,7 @@ func TestRoundScanBenchModesAgree(t *testing.T) {
 func TestRoundScanBenchRejectsUsedSimulator(t *testing.T) {
 	s, err := New(Config{
 		Cluster:   testClusterCfg(),
-		Trace:     smallTrace(20, 99),
+		Source:    smallSource(20, 99),
 		Scheduler: core.NewMLFH(),
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 // Package sim is the time-stepped ML-cluster simulator that drives every
-// experiment in this repository. It replays a workload trace against a
-// cluster under a pluggable scheduler, advancing training progress in
+// experiment in this repository. It replays a workload, streamed one
+// submission at a time from a trace.Source, against a cluster under a
+// pluggable scheduler, advancing training progress in
 // fixed ticks (the paper's scheduler runs every minute, §4.1) and
 // accounting all the quantities the paper's figures report.
 //
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,19 +43,15 @@ import (
 	"mlfs/internal/trace"
 )
 
-// Config parameterises a simulation run. Exactly one of Trace and
-// Source supplies the workload.
+// Config parameterises a simulation run.
 type Config struct {
 	Cluster cluster.Config
-	// Trace is a fully materialised workload: every job is built up
-	// front. Peak memory is O(total submissions).
-	Trace *trace.Trace
-	// Source streams submissions one record at a time; jobs are
-	// materialised at admission and retired from every hot set when they
-	// finish, so peak memory is O(peak live jobs) — the Philly-scale
-	// ingestion path. A SliceSource over an arrival-sorted trace runs
-	// bit-identically to the same trace passed via Trace.
-	Source    trace.Source
+	// Source streams the workload one record at a time and is the only
+	// way jobs enter the simulator: each job is materialised at its
+	// admission tick and, outside dense mode, retired from every hot set
+	// when it finishes, so peak memory is O(peak live jobs). A
+	// materialised trace runs through trace.NewSliceSource.
+	Source    trace.Source //mlfs:derived read position rebuilt by restore's re-stream of the consumed prefix
 	Scheduler sched.Scheduler
 
 	// TickSec is the scheduling period (default 60 s, §4.1).
@@ -70,7 +66,7 @@ type Config struct {
 	// overload. WobblePeriodSec is its period (default 3600 s).
 	DemandWobble    float64
 	WobblePeriodSec float64
-	// MaxSimSec caps the simulation horizon (default: trace duration +
+	// MaxSimSec caps the simulation horizon (default: source duration +
 	// 30 days). Jobs still unfinished at the horizon are force-finished
 	// and counted as truncated.
 	MaxSimSec float64
@@ -90,7 +86,7 @@ type Config struct {
 	// index, the retry-release scan runs ungated every tick and the
 	// placed-task-count gates are off. Results are bit-identical either
 	// way (the cross-check suite proves it); dense mode exists as the
-	// correctness oracle and requires a materialised Trace.
+	// correctness oracle.
 	DenseTicks bool //mlfs:transient run-mode knob; a resume may legally flip it (results are bit-identical either way)
 
 	// FullRescan disables the incremental scheduling rounds of the
@@ -162,10 +158,8 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSimSec <= 0 {
 		dur := 7 * 24 * 3600.0
-		if c.Trace != nil && c.Trace.DurationSec > 0 {
-			dur = c.Trace.DurationSec
-		} else if c.Source != nil && c.Source.Duration() > 0 {
-			dur = c.Source.Duration()
+		if d := c.Source.Duration(); d > 0 {
+			dur = d
 		}
 		c.MaxSimSec = dur + 30*24*3600
 	}
@@ -249,25 +243,22 @@ type Simulator struct {
 	cfg     Config
 	cl      *cluster.Cluster
 	sched   sched.Scheduler
-	jobs    []*job.Job // all jobs in arrival order (trace mode; nil in source mode)
 	pending int        // jobs admitted or rejected so far; next arrival's SimIndex
-	total   int        // total submissions of the run (len(jobs) or src.Len())
+	total   int        // total submissions of the run (Source.Len())
 	active  []*job.Job // admitted, not done
 	waiting map[job.TaskID]*job.Task
 	now     float64
 
-	// Streaming ingestion (source mode): src is the record stream,
-	// srcRec/srcHave the one-record admission lookahead, nextTaskID the
-	// task-identity cursor (task IDs are assigned in stream order, so a
-	// SliceSource run reproduces the trace run's identities exactly),
-	// lastArrival enforces the source's nondecreasing-arrival contract,
-	// and tallies accumulates the per-job result metrics of retired jobs
-	// — the only per-job state that outlives retirement.
-	src         trace.Source
+	// Streaming ingestion: srcRec/srcHave are the one-record admission
+	// lookahead, nextTaskID the task-identity cursor (task IDs are
+	// assigned in stream order), lastArrival enforces the source's
+	// nondecreasing-arrival contract, and tallies accumulates the per-job
+	// result metrics of retired jobs — the only per-job state that
+	// outlives retirement.
 	srcRec      trace.Record //mlfs:derived lookahead re-primed by restore's stream replay
 	srcHave     bool         //mlfs:derived lookahead re-primed by restore's stream replay
-	nextTaskID  job.TaskID   //mlfs:derived rebuilt by re-streaming the consumed trace prefix
-	lastArrival float64      //mlfs:derived rebuilt by re-streaming the consumed trace prefix
+	nextTaskID  job.TaskID   //mlfs:derived rebuilt by re-streaming the consumed source prefix
+	lastArrival float64      //mlfs:derived rebuilt by re-streaming the consumed source prefix
 	tallies     []metrics.Tally
 
 	// admitOrder, when set, permutes a job's tasks before they are
@@ -314,7 +305,7 @@ type Simulator struct {
 	// per-job iteration-cost caches invalidated by server load epochs,
 	// scratch buffers recycled across ticks, and the advance worker pool.
 	// cache is indexed by job.SimSlot: in dense mode every job owns the
-	// slot equal to its SimIndex for the whole run; in sparse mode slots
+	// slot equal to its SimIndex from admission on; in sparse mode slots
 	// are assigned at admission and recycled through freeSlots at
 	// retirement, so the cache footprint tracks peak live jobs rather
 	// than total submissions.
@@ -342,20 +333,13 @@ type Simulator struct {
 	poolPhase   int         //mlfs:derived pool phase selector, set before each fan-out
 }
 
-// New assembles a simulator: trace mode materialises the whole workload
-// up front; source mode only primes the stream and materialises jobs at
-// admission.
+// New assembles a simulator. It only rewinds the source; jobs are
+// materialised one at a time at admission.
 func New(cfg Config) (*Simulator, error) {
+	if cfg.Source == nil {
+		return nil, fmt.Errorf("sim: no source")
+	}
 	cfg = cfg.withDefaults()
-	if cfg.Trace == nil && cfg.Source == nil {
-		return nil, fmt.Errorf("sim: no trace or source")
-	}
-	if cfg.Trace != nil && cfg.Source != nil {
-		return nil, fmt.Errorf("sim: both Trace and Source set; pick one")
-	}
-	if cfg.DenseTicks && cfg.Source != nil {
-		return nil, fmt.Errorf("sim: DenseTicks requires a materialised Trace")
-	}
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("sim: no scheduler")
 	}
@@ -375,44 +359,18 @@ func New(cfg Config) (*Simulator, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cl := cluster.New(cfg.Cluster)
+	cfg.Source.Reset()
 	s := &Simulator{
 		cfg:     cfg,
 		cl:      cl,
 		sched:   cfg.Scheduler,
+		total:   cfg.Source.Len(),
 		waiting: make(map[job.TaskID]*job.Task),
 		workers: workers,
-	}
-	if cfg.Trace != nil {
-		jobs, err := cfg.Trace.MaterializeAll()
-		if err != nil {
-			return nil, err
-		}
-		sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].Arrival < jobs[k].Arrival })
-		for i, j := range jobs {
-			j.SimIndex = i
-			j.SimSlot = -1
-		}
-		if cfg.DenseTicks {
-			// Dense mode: every job owns the cache slot matching its
-			// SimIndex for the whole run.
-			for i, j := range jobs {
-				j.SimSlot = i
-			}
-			s.cache = make([]jobIterCache, len(jobs))
-		}
-		s.jobs = jobs
-		s.total = len(jobs)
-		// One context serves every round; its task index covers all jobs
-		// of the run up front, and Reset re-primes the rest per tick. In
-		// sparse mode retirement shrinks the index as jobs finish.
-		s.ctx = sched.NewContext(0, cl, jobs, nil, cfg.HR, cfg.HS)
-	} else {
-		cfg.Source.Reset()
-		s.src = cfg.Source
-		s.total = cfg.Source.Len()
-		// Source mode starts with an empty task index; admission adds
-		// each materialised job and retirement removes it.
-		s.ctx = sched.NewContext(0, cl, nil, nil, cfg.HR, cfg.HS)
+		// One context serves every round; Reset re-primes it per tick.
+		// Its task index starts empty: admission adds each materialised
+		// job and, outside dense mode, retirement removes it.
+		ctx: sched.NewContext(0, cl, nil, nil, cfg.HR, cfg.HS),
 	}
 	if cfg.Failures.Enabled() {
 		f := cfg.Failures
@@ -489,12 +447,14 @@ func (s *Simulator) RunStep() (bool, error) {
 	return true, nil
 }
 
-// Finish stamps the total simulated time and folds the final metrics.
-// Safe to call repeatedly: the fold reads, never consumes, the tallies
-// — the online service calls it per status request on a live run.
+// Finish stamps the total simulated time and folds the final metrics
+// over the tallies accumulated at retirement (ComputeFromTallies orders
+// them by SimIndex, so the float summation order is fixed). Safe to
+// call repeatedly: the fold reads, never consumes, the tallies — the
+// online service calls it per status request on a live run.
 func (s *Simulator) Finish() *metrics.Result {
 	s.counters.SimulatedSec = s.now
-	return s.result()
+	return metrics.ComputeFromTallies(s.sched.Name(), s.tallies, s.counters)
 }
 
 // Close releases the advance-worker pool and any resources the
@@ -506,18 +466,6 @@ func (s *Simulator) Close() {
 	if c, ok := s.sched.(interface{ Close() }); ok {
 		c.Close()
 	}
-}
-
-// result computes the final metrics: trace mode folds over the full job
-// slice exactly as always; source mode folds the tallies accumulated at
-// retirement, which metrics.ComputeFromTallies orders by SimIndex so
-// the float summation order — and hence every aggregate bit — matches
-// the trace-mode fold over the same workload.
-func (s *Simulator) result() *metrics.Result {
-	if s.src != nil {
-		return metrics.ComputeFromTallies(s.sched.Name(), s.tallies, s.counters)
-	}
-	return metrics.Compute(s.sched.Name(), s.jobs, s.counters)
 }
 
 // step executes one scheduler tick: failure/repair events, then demand
@@ -545,18 +493,11 @@ func (s *Simulator) step(dt float64) {
 }
 
 // peekArrival returns the arrival time of the next un-admitted
-// submission without consuming it, unifying the two ingestion paths:
-// trace mode reads the pending cursor, source mode holds a one-record
+// submission without consuming it, holding the record in a one-record
 // lookahead buffer.
 func (s *Simulator) peekArrival() (at float64, ok bool) {
-	if s.src == nil {
-		if s.pending >= len(s.jobs) {
-			return 0, false
-		}
-		return s.jobs[s.pending].Arrival, true
-	}
 	if !s.srcHave {
-		rec, more := s.src.Next()
+		rec, more := s.cfg.Source.Next()
 		if !more {
 			return 0, false
 		}
@@ -565,17 +506,10 @@ func (s *Simulator) peekArrival() (at float64, ok bool) {
 	return s.srcRec.ArrivalSec, true
 }
 
-// nextArrival consumes the submission peekArrival exposed, materialising
-// it in source mode. SimIndex is assigned in stream order and the task
-// identity cursor advances exactly as trace.MaterializeAll's does over
-// an arrival-sorted trace, which is what makes the two ingestion paths
-// bit-identical.
+// nextArrival consumes the submission peekArrival exposed and
+// materialises it. SimIndex and task identities are both assigned in
+// stream order, so equal streams yield equal jobs.
 func (s *Simulator) nextArrival() (*job.Job, error) {
-	if s.src == nil {
-		j := s.jobs[s.pending]
-		s.pending++
-		return j, nil
-	}
 	if s.srcRec.ArrivalSec < s.lastArrival {
 		return nil, fmt.Errorf("sim: source violates arrival order: job %d at %gs after %gs",
 			s.srcRec.JobID, s.srcRec.ArrivalSec, s.lastArrival)
@@ -596,8 +530,8 @@ func (s *Simulator) nextArrival() (*job.Job, error) {
 // their tasks. Jobs that can never fit the cluster (more GPU tasks than
 // the cluster has GPUs) are rejected at admission, as a real cluster
 // would: they count as deadline-missed with zero accuracy for every
-// scheduler alike. It only fails in source mode, on a corrupt or
-// misordered record stream.
+// scheduler alike. It only fails on a corrupt or misordered record
+// stream.
 func (s *Simulator) admitArrivals() error {
 	for {
 		at, ok := s.peekArrival()
@@ -627,22 +561,25 @@ func (s *Simulator) admitArrivals() error {
 		}
 		s.ctx.NotePending(j)
 		s.ctx.MarkDirty(j)
-		if !s.cfg.DenseTicks {
-			if s.src != nil {
-				s.ctx.AddJob(j)
-			}
-			// Slots are handed out here, serially in admission order, so
-			// the parallel prepare phase never touches the free list.
-			s.assignSlot(j)
-		}
+		s.ctx.AddJob(j)
+		// Slots are handed out here, serially in admission order, so the
+		// parallel prepare phase never touches the free list.
+		s.assignSlot(j)
 		s.active = append(s.active, j)
 	}
 }
 
-// assignSlot gives j a recycled cache slot (sparse mode; dense slots
-// are fixed at construction).
+// assignSlot gives j its cache slot: in dense mode the fixed slot equal
+// to its SimIndex, otherwise a recycled one from the free list.
 func (s *Simulator) assignSlot(j *job.Job) {
 	if j.SimSlot >= 0 {
+		return
+	}
+	if s.cfg.DenseTicks {
+		for len(s.cache) <= j.SimIndex {
+			s.cache = append(s.cache, jobIterCache{})
+		}
+		j.SimSlot = j.SimIndex
 		return
 	}
 	if n := len(s.freeSlots); n > 0 {
@@ -665,32 +602,18 @@ func (s *Simulator) freeSlot(j *job.Job) {
 	j.SimSlot = -1
 }
 
-// cacheEntry resolves j's iteration-cost cache entry, lazily assigning
-// a slot for jobs driven outside the admission path (tests probing
-// iterationCost directly). Within a run every active job already holds
-// a slot, so the parallel prepare phase never reaches the lazy branch.
-func (s *Simulator) cacheEntry(j *job.Job) *jobIterCache {
-	if j.SimSlot < 0 {
-		s.assignSlot(j)
-	}
-	return &s.cache[j.SimSlot]
-}
-
-// retire removes a finalised job from every hot set (sparse mode): the
-// scheduler context's task index, the recycled cache slot and — in
-// source mode — the job object itself, surviving only as a metrics
-// tally. Per-decision cost and memory then track live jobs, not total
+// retire reduces a finalised job to its metrics tally and fires the
+// retire hook. Outside dense mode it also drops the job from every hot
+// set — the scheduler context's task index and its recycled cache slot
+// — so per-decision cost and memory track live jobs, not total
 // submissions. The job object stays valid for anyone still holding it
 // (the completed-jobs feedback buffer, a scheduler's staged rewards).
 func (s *Simulator) retire(j *job.Job) {
-	if s.cfg.DenseTicks {
-		return
+	if !s.cfg.DenseTicks {
+		s.ctx.ForgetJob(j)
+		s.freeSlot(j)
 	}
-	s.ctx.ForgetJob(j)
-	s.freeSlot(j)
-	if s.src != nil {
-		s.tallies = append(s.tallies, metrics.TallyOf(j))
-	}
+	s.tallies = append(s.tallies, metrics.TallyOf(j))
 	if s.onRetire != nil {
 		s.onRetire(j)
 	}
@@ -800,7 +723,7 @@ func (s *Simulator) pruneActive() {
 // value is served from the job's epoch-keyed cache when the load on every
 // server the job touches is unchanged since it was computed.
 func (s *Simulator) iterationCost(j *job.Job) (sec, crossMB float64) {
-	c := s.cacheEntry(j)
+	c := &s.cache[j.SimSlot]
 	if !(c.valid && s.cacheFresh(c)) {
 		if !s.computeIterCost(j, c) {
 			return math.Inf(1), 0
@@ -1126,7 +1049,7 @@ func (s *Simulator) prepare(i int) {
 		s.adv[i].fully = false
 		return
 	}
-	c := s.cacheEntry(j)
+	c := &s.cache[j.SimSlot]
 	if c.valid && s.cacheFresh(c) {
 		s.adv[i].fully = true
 		return
@@ -1260,7 +1183,7 @@ func (s *Simulator) snapDeadline(j *job.Job, dt, delta float64) {
 }
 
 // finishJob finalises a job: frees resources, stamps outcome fields and
-// retires it from the hot sets (sparse mode). The job stays reachable
+// retires it. The job stays reachable
 // through recentCompleted until its feedback is delivered.
 func (s *Simulator) finishJob(j *job.Job, at float64, state job.State) {
 	for _, t := range j.Tasks {
@@ -1294,25 +1217,10 @@ func (s *Simulator) countOverloads() {
 
 // truncate force-finishes everything still live at the horizon: first
 // the active jobs in list order, then every not-yet-admitted submission
-// in arrival order — the same total order the materialised path has
-// always used. In source mode the remaining records are drained one at
-// a time, each materialised, stopped and retired before the next is
-// read, so truncation never holds more than one un-admitted job.
+// in arrival order. The remaining records are drained one at a time,
+// each materialised, stopped and retired before the next is read, so
+// truncation never holds more than one un-admitted job.
 func (s *Simulator) truncate() error {
-	if s.src == nil {
-		for s.pending < len(s.jobs) {
-			j := s.jobs[s.pending]
-			s.pending++
-			j.State = job.Pending
-			s.active = append(s.active, j)
-		}
-		for _, j := range s.active {
-			s.finishJob(j, s.cfg.MaxSimSec, job.Stopped)
-			s.counters.Truncated++
-		}
-		s.active = nil
-		return nil
-	}
 	for _, j := range s.active {
 		s.finishJob(j, s.cfg.MaxSimSec, job.Stopped)
 		s.counters.Truncated++
@@ -1366,11 +1274,11 @@ func (s *Simulator) ActiveJobs() []*job.Job { return s.active }
 func (s *Simulator) Counters() metrics.Counters { return s.counters }
 
 // Tallies returns the per-job completion tallies accumulated at
-// retirement (source mode only; nil in trace mode).
+// retirement, one per retired job.
 func (s *Simulator) Tallies() []metrics.Tally { return s.tallies }
 
-// Consumed returns the number of submissions consumed from the trace
-// or source so far (admitted plus rejected); it is also the SimIndex
+// Consumed returns the number of submissions consumed from the source
+// so far (admitted plus rejected); it is also the SimIndex
 // the next arrival will receive.
 func (s *Simulator) Consumed() int { return s.pending }
 
@@ -1385,10 +1293,8 @@ func (s *Simulator) NumWaiting() int { return len(s.waiting) }
 // be refused as a workload mismatch. The total only grows; batch runs
 // over fixed traces are unaffected.
 func (s *Simulator) SyncSourceTotal() {
-	if s.src != nil {
-		if n := s.src.Len(); n > s.total {
-			s.total = n
-		}
+	if n := s.cfg.Source.Len(); n > s.total {
+		s.total = n
 	}
 }
 
@@ -1414,8 +1320,7 @@ func (s *Simulator) CancelJob(j *job.Job) {
 	s.pruneActive()
 }
 
-// SetRetireHook registers fn to observe each job at retirement (sparse
-// mode). Pass nil to clear. The hook runs synchronously inside the
+// SetRetireHook registers fn to observe each job at retirement. Pass nil to clear. The hook runs synchronously inside the
 // simulation step and must not mutate simulator or job state.
 func (s *Simulator) SetRetireHook(fn func(*job.Job)) { s.onRetire = fn }
 

@@ -27,8 +27,34 @@ func testClusterCfg() cluster.Config {
 		CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200}
 }
 
-func smallTrace(jobs int, seed int64) *trace.Trace {
-	return trace.Generate(trace.GenConfig{Jobs: jobs, Seed: seed, DurationSec: 3600})
+func smallSource(jobs int, seed int64) trace.Source {
+	return trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: jobs, Seed: seed, DurationSec: 3600}))
+}
+
+// oneJobSource streams the single submission rec.
+func oneJobSource(rec trace.Record) trace.Source {
+	return trace.NewSliceSource(&trace.Trace{DurationSec: 100, Records: []trace.Record{rec}})
+}
+
+// admitFirst admits the arrivals due by the current time and returns
+// the first admitted job, for tests that probe or follow one job.
+func admitFirst(t *testing.T, s *Simulator) *job.Job {
+	t.Helper()
+	if err := s.admitArrivals(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.active) == 0 {
+		t.Fatal("setup: no job admitted")
+	}
+	return s.active[0]
+}
+
+// collectRetired registers a retire hook on s and returns the slice it
+// fills with every job as it retires.
+func collectRetired(s *Simulator) *[]*job.Job {
+	var out []*job.Job
+	s.SetRetireHook(func(j *job.Job) { out = append(out, j) })
+	return &out
 }
 
 func run(t *testing.T, cfg Config) *metrics.Result {
@@ -48,14 +74,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Scheduler: fifoGang{}}); err == nil {
 		t.Fatal("missing trace must fail")
 	}
-	if _, err := New(Config{Trace: smallTrace(1, 1)}); err == nil {
+	if _, err := New(Config{Source: smallSource(1, 1)}); err == nil {
 		t.Fatal("missing scheduler must fail")
 	}
 }
 
 func TestRunCompletesAllJobs(t *testing.T) {
 	res := run(t, Config{
-		Cluster: testClusterCfg(), Trace: smallTrace(20, 42), Scheduler: fifoGang{},
+		Cluster: testClusterCfg(), Source: smallSource(20, 42), Scheduler: fifoGang{},
 	})
 	if res.Jobs != 20 {
 		t.Fatalf("Jobs = %d", res.Jobs)
@@ -76,7 +102,7 @@ func TestRunCompletesAllJobs(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := func() Config {
-		return Config{Cluster: testClusterCfg(), Trace: smallTrace(15, 7), Scheduler: fifoGang{}}
+		return Config{Cluster: testClusterCfg(), Source: smallSource(15, 7), Scheduler: fifoGang{}}
 	}
 	a := run(t, cfg())
 	b := run(t, cfg())
@@ -87,15 +113,19 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestJobOutcomesConsistent(t *testing.T) {
-	cfg := Config{Cluster: testClusterCfg(), Trace: smallTrace(25, 3), Scheduler: fifoGang{}}
+	cfg := Config{Cluster: testClusterCfg(), Source: smallSource(25, 3), Scheduler: fifoGang{}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	retired := collectRetired(s)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range s.jobs {
+	if len(*retired) != 25 {
+		t.Fatalf("%d jobs retired, want 25", len(*retired))
+	}
+	for _, j := range *retired {
 		if !j.Done() {
 			t.Fatalf("job %d not done (%v)", j.ID, j.State)
 		}
@@ -118,7 +148,7 @@ func TestJobOutcomesConsistent(t *testing.T) {
 }
 
 func TestBandwidthAccumulates(t *testing.T) {
-	res := run(t, Config{Cluster: testClusterCfg(), Trace: smallTrace(20, 11), Scheduler: fifoGang{}})
+	res := run(t, Config{Cluster: testClusterCfg(), Source: smallSource(20, 11), Scheduler: fifoGang{}})
 	// With multi-GPU jobs spread over 4 servers some traffic must cross.
 	if res.Counters.BandwidthMB <= 0 {
 		t.Fatal("no cross-server bandwidth recorded")
@@ -128,7 +158,7 @@ func TestBandwidthAccumulates(t *testing.T) {
 func TestTruncationAtHorizon(t *testing.T) {
 	res := run(t, Config{
 		Cluster:   cluster.Config{Servers: 1, GPUsPerServer: 1, GPUCapacity: 1, CPUCapacity: 4, MemoryCapacity: 32, BWCapacity: 100},
-		Trace:     smallTrace(30, 5),
+		Source:    smallSource(30, 5),
 		Scheduler: fifoGang{},
 		MaxSimSec: 2 * 3600, // far too short for 30 jobs on 1 GPU
 	})
@@ -143,19 +173,18 @@ func TestTruncationAtHorizon(t *testing.T) {
 // A single small job on an idle cluster must finish in roughly
 // MaxIterations × critical-path seconds (plus tick rounding).
 func TestSingleJobRuntimeMatchesModel(t *testing.T) {
-	tr := &trace.Trace{DurationSec: 100}
-	tr.Records = append(tr.Records, trace.Record{
+	src := oneJobSource(trace.Record{
 		JobID: 1, ArrivalSec: 0, GPUs: 2, Family: 2, /* MLP */
 		Comm: job.AllReduce, Urgency: 1, TargetFrac: 0.8, TrainDataMB: 500,
 		CommVolPS: 60, CommVolWW: 60, DeadlineSlackSec: 24 * 3600,
 		StopOption: 0, Seed: 99,
 	})
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{},
+	s, err := New(Config{Cluster: testClusterCfg(), Source: src, Scheduler: fifoGang{},
 		DemandWobble: -1}) // negative -> clamped to 0: no wobble
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb := s.jobs[0]
+	jb := admitFirst(t, s)
 	ideal := float64(jb.MaxIterations) * jb.IdealIterationSec()
 	res, err := s.Run()
 	if err != nil {
@@ -173,17 +202,16 @@ func TestSingleJobRuntimeMatchesModel(t *testing.T) {
 // communication time and bandwidth; the same job on one server must not.
 func TestCrossServerCommCosts(t *testing.T) {
 	mk := func() (*Simulator, *job.Job) {
-		tr := &trace.Trace{DurationSec: 100}
-		tr.Records = append(tr.Records, trace.Record{
+		src := oneJobSource(trace.Record{
 			JobID: 1, ArrivalSec: 0, GPUs: 2, Family: 0, /* alexnet: sequential */
 			Comm: job.AllReduce, Urgency: 1, TargetFrac: 0.8, TrainDataMB: 500,
 			CommVolPS: 80, CommVolWW: 80, DeadlineSlackSec: 24 * 3600, Seed: 5,
 		})
-		s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{}, DemandWobble: -1})
+		s, err := New(Config{Cluster: testClusterCfg(), Source: src, Scheduler: fifoGang{}, DemandWobble: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, s.jobs[0]
+		return s, admitFirst(t, s)
 	}
 
 	s1, j1 := mk()
@@ -216,12 +244,12 @@ func TestCrossServerCommCosts(t *testing.T) {
 }
 
 func TestIterationCostUnplacedIsInf(t *testing.T) {
-	tr := smallTrace(1, 9)
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{}})
+	s, err := New(Config{Cluster: testClusterCfg(), Source: smallSource(1, 9), Scheduler: fifoGang{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, _ := s.iterationCost(s.jobs[0])
+	s.now = 3600 // past the single arrival
+	sec, _ := s.iterationCost(admitFirst(t, s))
 	if !math.IsInf(sec, 1) {
 		t.Fatal("unplaced job iteration cost must be +Inf")
 	}
@@ -231,7 +259,7 @@ func TestWaitingTimeAccrues(t *testing.T) {
 	// 1-GPU cluster, several jobs: later jobs must wait.
 	res := run(t, Config{
 		Cluster:   cluster.Config{Servers: 1, GPUsPerServer: 2, GPUCapacity: 1, CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200},
-		Trace:     smallTrace(10, 13),
+		Source:    smallSource(10, 13),
 		Scheduler: fifoGang{},
 	})
 	if res.AvgWaitSec <= 0 {
@@ -243,7 +271,7 @@ func TestOverloadOccurrencesCounted(t *testing.T) {
 	// High wobble forces transient overload on a packed cluster.
 	res := run(t, Config{
 		Cluster:      cluster.Config{Servers: 2, GPUsPerServer: 2, GPUCapacity: 1, CPUCapacity: 8, MemoryCapacity: 64, BWCapacity: 300},
-		Trace:        smallTrace(12, 17),
+		Source:       smallSource(12, 17),
 		Scheduler:    fifoGang{},
 		DemandWobble: 0.4,
 	})
@@ -255,19 +283,18 @@ func TestOverloadOccurrencesCounted(t *testing.T) {
 // A job whose deadline passes mid-training must have its
 // accuracy-at-deadline frozen below its final accuracy.
 func TestAccuracySnappedAtDeadline(t *testing.T) {
-	tr := &trace.Trace{DurationSec: 100}
-	tr.Records = append(tr.Records, trace.Record{
+	src := oneJobSource(trace.Record{
 		JobID: 1, ArrivalSec: 0, GPUs: 1, Family: 2, /* MLP */
 		Comm: job.AllReduce, Urgency: 1, TargetFrac: 0.9, TrainDataMB: 900,
 		CommVolPS: 60, CommVolWW: 60,
 		DeadlineSlackSec: 1800, // 30 min — far less than the training time
 		Seed:             77,
 	})
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{}, DemandWobble: -1})
+	s, err := New(Config{Cluster: testClusterCfg(), Source: src, Scheduler: fifoGang{}, DemandWobble: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := s.jobs[0]
+	j := admitFirst(t, s)
 	if j.EstimatedRuntime < 2*1800 {
 		t.Skipf("sampled job too short for this seed: %v s", j.EstimatedRuntime)
 	}
@@ -289,17 +316,16 @@ func TestAccuracySnappedAtDeadline(t *testing.T) {
 // Parameter-server jobs must pay PS communication volume when the PS
 // lands on a different server from the workers.
 func TestPSCommCost(t *testing.T) {
-	tr := &trace.Trace{DurationSec: 100}
-	tr.Records = append(tr.Records, trace.Record{
+	src := oneJobSource(trace.Record{
 		JobID: 1, ArrivalSec: 0, GPUs: 1, Family: 2,
 		Comm: job.ParameterServer, Urgency: 1, TargetFrac: 0.8, TrainDataMB: 500,
 		CommVolPS: 90, CommVolWW: 50, DeadlineSlackSec: 24 * 3600, Seed: 3,
 	})
-	s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{}, DemandWobble: -1})
+	s, err := New(Config{Cluster: testClusterCfg(), Source: src, Scheduler: fifoGang{}, DemandWobble: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := s.jobs[0]
+	j := admitFirst(t, s)
 	var worker, ps *job.Task
 	for _, task := range j.Tasks {
 		if task.IsPS {
@@ -327,17 +353,16 @@ func TestPSCommCost(t *testing.T) {
 // servers, while moving the same wire volume.
 func TestAllReduceTopologyCost(t *testing.T) {
 	mk := func(topo job.Topology) (float64, float64) {
-		tr := &trace.Trace{DurationSec: 100}
-		tr.Records = append(tr.Records, trace.Record{
+		src := oneJobSource(trace.Record{
 			JobID: 1, ArrivalSec: 0, GPUs: 4, Family: 4, /* SVM: data parallel */
 			Comm: job.AllReduce, Urgency: 1, TargetFrac: 0.8, TrainDataMB: 500,
 			CommVolPS: 80, CommVolWW: 80, DeadlineSlackSec: 24 * 3600, Seed: 41,
 		})
-		s, err := New(Config{Cluster: testClusterCfg(), Trace: tr, Scheduler: fifoGang{}, DemandWobble: -1})
+		s, err := New(Config{Cluster: testClusterCfg(), Source: src, Scheduler: fifoGang{}, DemandWobble: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := s.jobs[0]
+		j := admitFirst(t, s)
 		j.Topology = topo
 		// Spread the four tasks over four servers.
 		for i, task := range j.Tasks {

@@ -23,27 +23,23 @@ import (
 // interrupted.
 //
 // What is deliberately NOT captured: everything recomputable from the
-// base state. Static job/trace structure is re-materialised from the
-// same trace or re-streamed from the same source (deterministically);
-// the iteration-cost caches, cache-slot assignments, retry-release heap,
-// server utilisation memos and Predictor fit memos are dropped and
-// recomputed to the exact same float64s; scratch buffers and worker
-// pools are rebuilt on use. Epoch values after restore differ from the
+// base state. Static job structure is re-streamed from the same source
+// (deterministically); the iteration-cost caches, cache-slot
+// assignments, retry-release heap, server utilisation memos and
+// Predictor fit memos are dropped and recomputed to the exact same
+// float64s; scratch buffers and worker pools are rebuilt on use. Epoch values after restore differ from the
 // original run — they only key caches, which start invalid.
 //
-// Two per-job layouts share the surrounding structure. Trace mode
-// encodes every job of the run, retired or not — the job slice exists
-// anyway. Source mode cannot (only live jobs are materialised), so it
-// encodes the retirement tallies plus the live set — active jobs and
-// the completed-feedback buffer, parked included (parked ⊆ active) —
-// keyed by SimIndex; Restore re-streams the source's first `pending`
-// records to rebuild exactly the live jobs (task-identity cursor
-// included) and drops the rest as they pass, so restore memory is
-// O(live), not O(total). The parked list is encoded with
-// finished-while-parked jobs filtered out, because the tick at which
-// those are pruned is the one roster detail the sparse retry gate
-// shifts; filtering makes equal states encode to equal bytes in both
-// modes.
+// Per-job state is encoded as the retirement tallies plus the live set
+// — active jobs and the completed-feedback buffer, parked included
+// (parked ⊆ active) — keyed by SimIndex; only live jobs exist as
+// objects. Restore re-streams the source's first `pending` records to
+// rebuild exactly the live jobs (task-identity cursor included) and
+// drops the rest as they pass, so restore memory is O(live), not
+// O(total). The parked list is encoded with finished-while-parked jobs
+// filtered out, because the tick at which those are pruned is the one
+// roster detail the sparse retry gate shifts; filtering makes equal
+// states encode to equal bytes in both tick modes.
 
 // Snapshot serialises the full dynamic state. It fails only when the
 // scheduler does not implement sched.Snapshotter.
@@ -59,23 +55,17 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	w.Int(s.pending)
 	w.Float64(s.lastBWMark)
 	s.counters.EncodeState(w)
-	if s.src == nil {
-		for _, j := range s.jobs {
-			encodeJob(w, j)
-		}
-	} else {
-		w.Int(len(s.tallies))
-		for i := range s.tallies {
-			encodeTally(w, &s.tallies[i])
-		}
-		live := s.liveJobs()
-		w.Int(len(live))
-		for _, j := range live {
-			w.Int(j.SimIndex)
-		}
-		for _, j := range live {
-			encodeJob(w, j)
-		}
+	w.Int(len(s.tallies))
+	for i := range s.tallies {
+		encodeTally(w, &s.tallies[i])
+	}
+	live := s.liveJobs()
+	w.Int(len(live))
+	for _, j := range live {
+		w.Int(j.SimIndex)
+	}
+	for _, j := range live {
+		encodeJob(w, j)
 	}
 	encodeJobList(w, s.active)
 	encodeJobList(w, s.livingParked())
@@ -103,10 +93,10 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// liveJobs returns the jobs whose state must be encoded individually in
-// source mode: the active set plus the completed-feedback buffer. The
-// two are disjoint (completed jobs are Done and pruned from active), and
-// parked jobs are already in active.
+// liveJobs returns the jobs whose state must be encoded individually:
+// the active set plus the completed-feedback buffer. The two are
+// disjoint (completed jobs are Done and pruned from active), and parked
+// jobs are already in active.
 func (s *Simulator) liveJobs() []*job.Job {
 	live := make([]*job.Job, 0, len(s.active)+len(s.recentCompleted))
 	live = append(live, s.active...)
@@ -129,7 +119,7 @@ func (s *Simulator) livingParked() []*job.Job {
 
 // Restore overlays a Snapshot payload onto a freshly constructed,
 // never-stepped simulator whose Config matches the snapshotted run
-// (same trace or source, cluster, scheduler and simulation parameters —
+// (same source, cluster, scheduler and simulation parameters —
 // AdvanceWorkers, DenseTicks and snapshot/stop settings are free to
 // differ; results are bit-identical for any worker count and either
 // tick mode). On any error — ErrMismatch for a snapshot of a different
@@ -154,27 +144,17 @@ func (s *Simulator) Restore(payload []byte) error {
 	if s.tick < 0 || s.pending < 0 || s.pending > s.total {
 		return snapshot.Corruptf("cursor out of range: tick %d, pending %d of %d jobs", s.tick, s.pending, s.total)
 	}
-	var byIndex map[int]*job.Job
-	if s.src == nil {
-		for _, j := range s.jobs {
-			if err := decodeJob(r, j); err != nil {
-				return err
-			}
-		}
-	} else {
-		var err error
-		if byIndex, err = s.restoreLiveJobs(r); err != nil {
-			return err
-		}
-	}
-	var err error
-	if s.active, err = s.decodeJobList(r, s.active, byIndex); err != nil {
+	byIndex, err := s.restoreLiveJobs(r)
+	if err != nil {
 		return err
 	}
-	if s.parked, err = s.decodeJobList(r, s.parked, byIndex); err != nil {
+	if s.active, err = decodeJobList(r, s.active, byIndex); err != nil {
 		return err
 	}
-	if s.recentCompleted, err = s.decodeJobList(r, s.recentCompleted, byIndex); err != nil {
+	if s.parked, err = decodeJobList(r, s.parked, byIndex); err != nil {
+		return err
+	}
+	if s.recentCompleted, err = decodeJobList(r, s.recentCompleted, byIndex); err != nil {
 		return err
 	}
 	n := r.Len()
@@ -214,15 +194,15 @@ func (s *Simulator) Restore(payload []byte) error {
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	// Rebuild the derived sparse-mode structures the snapshot deliberately
-	// omits: cache slots for the restored active set (assigned serially
-	// here so the first parallel prepare never touches the free list) and
-	// the retry-release heap, one entry per parked job at its exact
-	// release time.
+	// Rebuild the derived structures the snapshot deliberately omits:
+	// cache slots for the restored active set (fixed in dense mode;
+	// otherwise assigned serially here so the first parallel prepare
+	// never touches the free list) and, in sparse mode, the retry-release
+	// heap, one entry per parked job at its exact release time.
+	for _, j := range s.active {
+		s.assignSlot(j)
+	}
 	if !s.cfg.DenseTicks {
-		for _, j := range s.active {
-			s.assignSlot(j)
-		}
 		s.retryHeap = s.retryHeap[:0]
 		for _, j := range s.parked {
 			s.pushRetry(j.NextRetryAt)
@@ -251,8 +231,8 @@ func (s *Simulator) Restore(payload []byte) error {
 	return nil
 }
 
-// restoreLiveJobs rebuilds the source-mode live set: it decodes the
-// tallies and live-index list, then re-streams the source's consumed
+// restoreLiveJobs rebuilds the live set: it decodes the tallies and
+// live-index list, then re-streams the source's consumed
 // prefix — materialising every record to advance the task-identity
 // cursor exactly as the original run did, keeping only the live indexes
 // and letting the rest go — and finally decodes each live job's dynamic
@@ -262,15 +242,22 @@ func (s *Simulator) restoreLiveJobs(r *snapshot.Reader) (map[int]*job.Job, error
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	// A retired job has been consumed, and retires once: a tally outside
+	// [0, pending) or a repeated one would skew every aggregate.
+	retired := make([]bool, s.pending)
 	s.tallies = s.tallies[:0]
 	for i := 0; i < nt; i++ {
 		t, err := decodeTally(r)
 		if err != nil {
 			return nil, err
 		}
-		if t.SimIndex < 0 || t.SimIndex >= s.total {
-			return nil, snapshot.Corruptf("tally job index %d out of range [0,%d)", t.SimIndex, s.total)
+		if t.SimIndex < 0 || t.SimIndex >= s.pending {
+			return nil, snapshot.Corruptf("tally job index %d out of range [0,%d)", t.SimIndex, s.pending)
 		}
+		if retired[t.SimIndex] {
+			return nil, snapshot.Corruptf("tally job index %d repeated", t.SimIndex)
+		}
+		retired[t.SimIndex] = true
 		s.tallies = append(s.tallies, t)
 	}
 	nl := r.Len()
@@ -293,13 +280,13 @@ func (s *Simulator) restoreLiveJobs(r *snapshot.Reader) (map[int]*job.Job, error
 		liveSet[idx] = true
 		liveOrder = append(liveOrder, idx)
 	}
-	s.src.Reset()
+	s.cfg.Source.Reset()
 	s.nextTaskID = 0
 	s.lastArrival = 0
 	s.srcHave = false
 	byIndex := make(map[int]*job.Job, nl)
 	for i := 0; i < s.pending; i++ {
-		rec, ok := s.src.Next()
+		rec, ok := s.cfg.Source.Next()
 		if !ok {
 			return nil, snapshot.Corruptf("source ended at record %d, snapshot consumed %d", i, s.pending)
 		}
@@ -349,16 +336,12 @@ func (s *Simulator) fingerprintFloats() []float64 {
 }
 
 // encodeFingerprint writes the run identity the snapshot belongs to.
-// The ingestion mode is part of the identity: source-mode payloads
-// carry a different per-job layout, so restoring one into a trace-mode
-// simulator (or vice versa) must fail as a mismatch, not misparse.
 func (s *Simulator) encodeFingerprint(w *snapshot.Writer) {
 	w.String(s.sched.Name())
 	w.Int(s.total)
 	w.Int(s.cl.NumServers())
 	w.Int(s.cl.NumGPUs())
 	w.Bool(s.cfg.ReplicateStragglers)
-	w.Bool(s.src != nil)
 	w.Floats(s.fingerprintFloats())
 }
 
@@ -371,7 +354,6 @@ func (s *Simulator) checkFingerprint(r *snapshot.Reader) error {
 	servers := r.Int()
 	gpus := r.Int()
 	replicate := r.Bool()
-	sourceMode := r.Bool()
 	params := r.Floats()
 	if err := r.Err(); err != nil {
 		return err
@@ -385,9 +367,6 @@ func (s *Simulator) checkFingerprint(r *snapshot.Reader) error {
 	}
 	if replicate != s.cfg.ReplicateStragglers {
 		return snapshot.Mismatchf("snapshot straggler replication %v, run %v", replicate, s.cfg.ReplicateStragglers)
-	}
-	if sourceMode != (s.src != nil) {
-		return snapshot.Mismatchf("snapshot ingestion source-mode %v, run %v", sourceMode, s.src != nil)
 	}
 	want := s.fingerprintFloats()
 	if len(params) != len(want) {
@@ -405,7 +384,7 @@ func (s *Simulator) checkFingerprint(r *snapshot.Reader) error {
 
 // encodeJob writes one job's dynamic state. Static structure (tasks,
 // demands, curve, estimated runtime, deadlines) is re-materialised from
-// the trace or source and not written; SimSlot and PlacedTasks are
+// the source and not written; SimSlot and PlacedTasks are
 // derived state, reassigned and recounted on restore.
 func encodeJob(w *snapshot.Writer, j *job.Job) {
 	w.Int(int(j.State))
@@ -421,7 +400,7 @@ func encodeJob(w *snapshot.Writer, j *job.Job) {
 	iters, accs := j.Predictor.Observations()
 	w.Ints(iters)
 	w.Floats(accs)
-	// The curve's parameters are re-materialised from the trace, but its
+	// The curve's parameters are re-materialised from the source, but its
 	// observation-noise stream position is runtime state: without it a
 	// resumed job would replay noise the uninterrupted run already drew.
 	w.Uint64(j.Curve.NoiseDraws())
@@ -510,10 +489,9 @@ func encodeJobList(w *snapshot.Writer, jobs []*job.Job) {
 	}
 }
 
-// decodeJobList reads an ordered job set into dst, validating indexes.
-// Trace mode resolves against the full job slice; source mode (byIndex
-// non-nil) against the restored live set.
-func (s *Simulator) decodeJobList(r *snapshot.Reader, dst []*job.Job, byIndex map[int]*job.Job) ([]*job.Job, error) {
+// decodeJobList reads an ordered job set into dst, resolving each index
+// against the restored live set.
+func decodeJobList(r *snapshot.Reader, dst []*job.Job, byIndex map[int]*job.Job) ([]*job.Job, error) {
 	n := r.Len()
 	if err := r.Err(); err != nil {
 		return dst, err
@@ -529,12 +507,7 @@ func (s *Simulator) decodeJobList(r *snapshot.Reader, dst []*job.Job, byIndex ma
 			return dst, snapshot.Corruptf("job index %d repeated", idx)
 		}
 		seen[idx] = true
-		var j *job.Job
-		if byIndex != nil {
-			j = byIndex[idx]
-		} else if idx >= 0 && idx < len(s.jobs) {
-			j = s.jobs[idx]
-		}
+		j := byIndex[idx]
 		if j == nil {
 			return dst, snapshot.Corruptf("job index %d out of range", idx)
 		}

@@ -13,7 +13,7 @@ func TestStragglerInjectionAndReplication(t *testing.T) {
 	runWith := func(prob float64, replicate bool) float64 {
 		s, err := New(Config{
 			Cluster:             testClusterCfg(),
-			Trace:               trace.Generate(trace.GenConfig{Jobs: 15, Seed: 23, DurationSec: 3600}),
+			Source:              trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: 15, Seed: 23, DurationSec: 3600})),
 			Scheduler:           fifoGang{},
 			StragglerProb:       prob,
 			StragglerSlow:       4,
@@ -49,7 +49,7 @@ func TestStragglerDeterministic(t *testing.T) {
 	run := func() float64 {
 		s, err := New(Config{
 			Cluster:       testClusterCfg(),
-			Trace:         trace.Generate(trace.GenConfig{Jobs: 10, Seed: 29, DurationSec: 3600}),
+			Source:        trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: 10, Seed: 29, DurationSec: 3600})),
 			Scheduler:     fifoGang{},
 			StragglerProb: 0.2,
 		})

@@ -36,7 +36,7 @@ func chaosConfig(t testing.TB, name string, workers int, mttf float64) sim.Confi
 			Servers: 3, GPUsPerServer: 4,
 			GPUCapacity: 1, CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200,
 		},
-		Trace:          mlfs.GenerateTrace(16, 1, 1200),
+		Source:         mlfs.NewSliceSource(mlfs.GenerateTrace(16, 1, 1200)),
 		Scheduler:      sch,
 		AdvanceWorkers: workers,
 		MaxSimSec:      chaosHorizonTicks * 60,

@@ -11,87 +11,80 @@ import (
 
 // This file is the sparse/dense cross-check suite: the sparse
 // event-driven core (the default) must reproduce the dense tick loop
-// bit for bit, and the streaming-source ingestion path must reproduce
-// the materialised-trace path bit for bit, across the same scheduler ×
-// parallelism × failure matrix the crash-replay chaos test exercises.
-// Together with TestChaosCrashReplay (which runs in the sparse default
-// and therefore covers snapshot-mid-run + resume under the sparse core)
-// this is the acceptance evidence that the sparse core preserves tick
-// semantics exactly.
+// bit for bit across the same scheduler × parallelism × failure matrix
+// the crash-replay chaos test exercises, on both chaos workloads — the
+// generated trace and the synthetic Philly stream. Together with
+// TestChaosCrashReplay (which runs in the sparse default and therefore
+// covers snapshot-mid-run + resume under the sparse core) this is the
+// acceptance evidence that the sparse core preserves tick semantics
+// exactly.
 
 // TestSparseDenseCrossCheck runs every config of the chaos matrix twice
 // — once under the default sparse core, once with DenseTicks — and
-// requires bitwise-equal results.
+// requires bitwise-equal results. The generated-trace cases keep their
+// historical names; the Philly-stream cases are prefixed "stream/".
 func TestSparseDenseCrossCheck(t *testing.T) {
-	for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
-		for _, workers := range []int{1, 8} {
-			for _, mttf := range []float64{0, 21600} {
-				name, workers, mttf := name, workers, mttf
-				t.Run(fmt.Sprintf("%s/workers=%d/mttf=%.0f", name, workers, mttf), func(t *testing.T) {
-					t.Parallel()
-					sparse := runToEnd(t, chaosConfig(t, name, workers, mttf))
-					dcfg := chaosConfig(t, name, workers, mttf)
-					dcfg.DenseTicks = true
-					dense := runToEnd(t, dcfg)
-					if !reflect.DeepEqual(sparse, dense) {
-						t.Fatalf("sparse and dense runs diverged:\nsparse: %+v\ndense:  %+v", sparse, dense)
-					}
-				})
+	for _, wl := range []struct {
+		prefix string
+		config func(testing.TB, string, int, float64) sim.Config
+	}{{"", chaosConfig}, {"stream/", sourceChaosConfig}} {
+		for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
+			for _, workers := range []int{1, 8} {
+				for _, mttf := range []float64{0, 21600} {
+					wl, name, workers, mttf := wl, name, workers, mttf
+					t.Run(fmt.Sprintf("%s%s/workers=%d/mttf=%.0f", wl.prefix, name, workers, mttf), func(t *testing.T) {
+						t.Parallel()
+						sparse := runToEnd(t, wl.config(t, name, workers, mttf))
+						dcfg := wl.config(t, name, workers, mttf)
+						dcfg.DenseTicks = true
+						dense := runToEnd(t, dcfg)
+						if !reflect.DeepEqual(sparse, dense) {
+							t.Fatalf("sparse and dense runs diverged:\nsparse: %+v\ndense:  %+v", sparse, dense)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-// TestSourceTraceCrossCheck runs the chaos workload once from the
-// materialised trace and once streamed through a SliceSource over the
-// same trace, and requires bitwise-equal results — the contract that
-// lets Philly-scale runs stream their workload without changing a
-// single output bit.
-func TestSourceTraceCrossCheck(t *testing.T) {
-	for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
-		for _, mttf := range []float64{0, 21600} {
-			name, mttf := name, mttf
-			t.Run(fmt.Sprintf("%s/mttf=%.0f", name, mttf), func(t *testing.T) {
-				t.Parallel()
-				fromTrace := runToEnd(t, chaosConfig(t, name, 8, mttf))
-				scfg := chaosConfig(t, name, 8, mttf)
-				scfg.Source = mlfs.NewSliceSource(scfg.Trace)
-				scfg.Trace = nil
-				fromSource := runToEnd(t, scfg)
-				if !reflect.DeepEqual(fromTrace, fromSource) {
-					t.Fatalf("trace and source runs diverged:\ntrace:  %+v\nsource: %+v", fromTrace, fromSource)
-				}
-			})
-		}
-	}
-}
-
 // sourceChaosConfig is chaosConfig with the workload streamed from the
-// synthetic Philly source instead of a materialised trace: the
-// configuration under which snapshots encode tallies + live jobs and
-// Restore re-streams the consumed prefix.
+// synthetic Philly source instead of the generated trace.
 func sourceChaosConfig(t testing.TB, name string, workers int, mttf float64) sim.Config {
 	t.Helper()
 	cfg := chaosConfig(t, name, workers, mttf)
-	cfg.Trace = nil
 	cfg.Source = mlfs.SyntheticPhillySource(16, 1, 1200)
 	return cfg
 }
 
-// TestChaosCrashReplaySourceMode repeats the crash–replay chaos run in
-// streaming-source mode: kill at seeded ticks, restore from the latest
-// snapshot in a fresh simulator (which must re-stream the workload
-// prefix), and match the uninterrupted run bit for bit.
+// TestChaosCrashReplaySourceMode repeats the crash–replay chaos run on
+// the synthetic Philly stream: kill at seeded ticks, restore from the
+// latest snapshot in a fresh simulator (which must re-stream the
+// workload prefix), and match the uninterrupted run bit for bit. The
+// "flip/" cases alternate DenseTicks between segments, since a resume
+// may legally switch tick mode: every restore lands in the other mode.
 func TestChaosCrashReplaySourceMode(t *testing.T) {
 	seed := int64(100)
-	for _, name := range []string{"fifo", "mlf-rl"} {
-		for _, mttf := range []float64{0, 21600} {
-			seed++
-			name, mttf, seed := name, mttf, seed
-			t.Run(fmt.Sprintf("%s/mttf=%.0f", name, mttf), func(t *testing.T) {
-				t.Parallel()
-				runChaosCfg(t, func() sim.Config { return sourceChaosConfig(t, name, 8, mttf) }, seed)
-			})
+	for _, flip := range []bool{false, true} {
+		prefix := ""
+		if flip {
+			prefix = "flip/"
+		}
+		for _, name := range []string{"fifo", "mlf-rl"} {
+			for _, mttf := range []float64{0, 21600} {
+				seed++
+				flip, name, mttf, seed := flip, name, mttf, seed
+				t.Run(fmt.Sprintf("%s%s/mttf=%.0f", prefix, name, mttf), func(t *testing.T) {
+					t.Parallel()
+					calls := 0
+					runChaosCfg(t, func() sim.Config {
+						cfg := sourceChaosConfig(t, name, 8, mttf)
+						calls++
+						cfg.DenseTicks = flip && calls%2 == 0
+						return cfg
+					}, seed)
+				})
+			}
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 )
 
 // fuzzTrace is shared across fuzz executions: traces are read-only (each
-// simulator re-materialises its own jobs), so one generation suffices.
+// simulator streams it through its own SliceSource), so one generation
+// suffices.
 var fuzzTrace = sync.OnceValue(func() *mlfs.Trace {
 	return mlfs.GenerateTrace(6, 1, 600)
 })
@@ -23,7 +24,7 @@ var fuzzTrace = sync.OnceValue(func() *mlfs.Trace {
 func fuzzSim(t testing.TB) *sim.Simulator {
 	t.Helper()
 	cfg := chaosConfig(t, "mlf-h", 1, 21600)
-	cfg.Trace = fuzzTrace()
+	cfg.Source = mlfs.NewSliceSource(fuzzTrace())
 	s, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +39,7 @@ func realSnapshot(t testing.TB) (framed, payload []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seed.snap")
 	cfg := chaosConfig(t, "mlf-h", 1, 21600)
-	cfg.Trace = fuzzTrace()
+	cfg.Source = mlfs.NewSliceSource(fuzzTrace())
 	cfg.SnapshotEvery = 40
 	cfg.SnapshotPath = path
 	cfg.StopAtTick = 40

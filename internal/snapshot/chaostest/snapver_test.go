@@ -35,6 +35,7 @@ var snapverPinned = map[uint32]uint64{
 	3: 0x7ea661c0a9ac5c17,
 	4: 0x1bd550df07e3c293,
 	5: 0xe50587d483ec5007,
+	6: 0x988a2391233ce0e2,
 }
 
 // snapverRoots are the structs whose fields feed snapshot payloads,

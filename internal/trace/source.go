@@ -29,13 +29,14 @@ type Source interface {
 	Duration() float64
 }
 
-// SliceSource adapts a materialised trace to the Source interface. It
-// keeps records in a private slice sorted stably by arrival, so any
-// trace (CSV loads included) satisfies the nondecreasing-arrival
-// contract; for traces already in arrival order — everything Generate
-// and the Philly loader produce — the stream is the identical record
-// sequence, which is what makes a SliceSource run bit-identical to the
-// materialised run over the same trace.
+// SliceSource adapts a materialised trace to the Source interface — the
+// way every materialised trace reaches the simulator, which ingests
+// only Sources. It keeps records in a private slice sorted stably by
+// arrival, so any trace (CSV loads included) satisfies the
+// nondecreasing-arrival contract; for traces already in arrival order —
+// everything Generate and the Philly loader produce — the stream is the
+// identical record sequence, while an unsorted trace gets its task
+// identities in arrival order rather than record order.
 type SliceSource struct {
 	records []Record
 	dur     float64

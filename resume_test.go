@@ -24,7 +24,7 @@ func resumeSimConfig(t *testing.T, name string, workers int, mttf float64) sim.C
 	}
 	cfg := sim.Config{
 		Cluster:        Options{Servers: 4, GPUsPerServer: 4}.clusterConfig(),
-		Trace:          GenerateTrace(24, 1, 1800),
+		Source:         NewSliceSource(GenerateTrace(24, 1, 1800)),
 		Scheduler:      sch,
 		AdvanceWorkers: workers,
 	}

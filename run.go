@@ -69,7 +69,7 @@ type Options struct {
 	// executes, completed jobs stay in the scan sets, per-job caches are
 	// fixed-slot. Results are bit-identical to the default sparse
 	// event-driven core; the switch exists as a correctness oracle and
-	// for perf comparisons. Incompatible with Source.
+	// for perf comparisons.
 	DenseTicks bool
 
 	// FullRescan disables the incremental round structure (dirty-set
@@ -187,8 +187,9 @@ func SyntheticPhillySource(jobs int, seed int64, durationSec float64) TraceSourc
 }
 
 // NewSliceSource adapts a materialised Trace into a TraceSource
-// (arrival-sorted, as the streaming contract requires). A run over it
-// is bit-identical to the same run over the Trace directly.
+// (arrival-sorted, as the streaming contract requires). Options.Trace
+// runs through one internally, so a run over it is bit-identical to the
+// same run with the Trace set directly.
 func NewSliceSource(t *Trace) TraceSource {
 	return trace.NewSliceSource(t)
 }
@@ -226,7 +227,8 @@ func SaveTraceCSV(t *Trace, path string) error {
 
 // newSimulator builds the configured simulator: scheduler by name when
 // no instance is given, trace generation when none is supplied, cluster
-// preset resolution.
+// preset resolution. The simulator only ingests a stream, so a trace —
+// given or generated — runs through a fresh SliceSource per run.
 func newSimulator(opts Options) (*sim.Simulator, error) {
 	s := opts.Sched
 	if s == nil {
@@ -239,21 +241,24 @@ func newSimulator(opts Options) (*sim.Simulator, error) {
 			return nil, err
 		}
 	}
-	tr := opts.Trace
-	if tr == nil && opts.Source == nil {
-		if opts.Jobs <= 0 {
-			return nil, fmt.Errorf("mlfs: no trace, no source and no job count given")
+	src := opts.Source
+	if src == nil {
+		tr := opts.Trace
+		if tr == nil {
+			if opts.Jobs <= 0 {
+				return nil, fmt.Errorf("mlfs: no trace, no source and no job count given")
+			}
+			dur := opts.TraceDurationSec
+			if dur <= 0 {
+				dur = DurationForCluster(opts.Jobs, opts.clusterConfig().TotalGPUs())
+			}
+			tr = GenerateTrace(opts.Jobs, opts.Seed, dur)
 		}
-		dur := opts.TraceDurationSec
-		if dur <= 0 {
-			dur = DurationForCluster(opts.Jobs, opts.clusterConfig().TotalGPUs())
-		}
-		tr = GenerateTrace(opts.Jobs, opts.Seed, dur)
+		src = trace.NewSliceSource(tr)
 	}
 	return sim.New(sim.Config{
 		Cluster:             opts.clusterConfig(),
-		Trace:               tr,
-		Source:              opts.Source,
+		Source:              src,
 		DenseTicks:          opts.DenseTicks,
 		FullRescan:          opts.FullRescan,
 		Scheduler:           s,
