@@ -73,10 +73,13 @@ failover:
 ci: vet lint test scale race
 
 # Micro-benchmarks of the simulator hot path (tick loop, iteration-cost
-# cache, demand wobble) and the NN engine (batched scoring, imitation
-# updates, the in-situ MLF-RL scheduling round), with allocation counts.
+# cache, demand wobble), the NN engine (batched scoring, imitation
+# updates, the in-situ MLF-RL scheduling round) and the MLF-C
+# learning-curve fit (grow-and-fit series, certified vs reference), with
+# allocation counts.
 bench:
 	$(GO) test ./internal/sim/ -run xxx -bench 'BenchmarkTick|BenchmarkIterationTime|BenchmarkWobbleDemands' -benchmem
+	$(GO) test ./internal/learncurve/ -run xxx -bench BenchmarkPredictorFitSeries -benchmem
 	$(GO) test ./internal/nn/ -run xxx -bench 'BenchmarkForwardBatch|BenchmarkImitationBatch' -benchmem
 	$(GO) test ./internal/core/mlfrl/ -run xxx -bench BenchmarkMLFRLTick -benchtime 3x -benchmem
 

@@ -56,8 +56,8 @@ func TestFitMemoStableAcrossCalls(t *testing.T) {
 		// asymptote should move at least in the last bits; if it is
 		// exactly equal the memo may not have invalidated. Distinguish by
 		// checking the fit count advanced.
-		if p.fitN != 21 {
-			t.Fatalf("memo not refreshed: fitN=%d", p.fitN)
+		if p.fit.n != 21 {
+			t.Fatalf("memo not refreshed: fit.n=%d", p.fit.n)
 		}
 	}
 }

@@ -14,6 +14,14 @@ import "math"
 // over a grid of rates r, with amax in closed form per rate. Inputs are
 // the number of iterations executed and the accuracy after each — exactly
 // the inputs the paper lists for the model.
+//
+// MLF-C refits every running job every round, and a running job gains
+// observations every tick, so Fit is incremental: it folds each new
+// observation into per-rate running sums once, uses them to prove which
+// grid rates can still win (usually one or two), and runs the full
+// weighted fit only on those. The result is bit-for-bit the fit over
+// every rate (see certify); series the proof does not cover take the
+// full fit.
 type Predictor struct {
 	iters []int
 	accs  []float64
@@ -23,31 +31,46 @@ type Predictor struct {
 	// "weighted" part of the paper's model). Default 0.97.
 	Recency float64
 
-	// Fit memo: the fit is a pure function of (iters, accs, Recency), and
-	// observations are append-only, so a fit computed at n observations
-	// stays valid until the n+1th arrives. Schedulers call Fit several
-	// times per round per job (stop decisions, accuracy extrapolation),
-	// which made the from-scratch fit the simulator's hottest path; the
-	// memo collapses those calls to one fit per new observation.
-	fitN    int     //mlfs:derived fit memo: observation count it was computed at (0 = none)
-	fitRec  float64 //mlfs:derived fit memo, recomputed on the first post-restore Fit
-	fitAmax float64 //mlfs:derived fit memo
-	fitRate float64 //mlfs:derived fit memo
-	fitConf float64 //mlfs:derived fit memo
-	fitOK   bool    //mlfs:derived fit memo
+	// fit is allocated by the first Fit, so the predictors of jobs whose
+	// scheduler never fits cost one nil pointer.
+	fit *fitState //mlfs:derived fit caches: pure functions of (iters, accs, Recency), rebuilt by the first post-restore Fit
+}
 
-	// pows caches Recency^k. The weights {rec^0 … rec^(n-1)} only gain one
-	// element as n grows, so each power is computed once with math.Pow —
-	// bit-identical to recomputing the whole weight vector every call.
-	pows []float64 //mlfs:derived weight cache, regrown bit-identically on demand
+// fitState is everything Fit derives from the observation series for
+// one recency: the memo, the weight and basis caches and the running
+// sums the candidate proof reads. Observations are append-only, so each
+// cache only ever grows; a Recency change or SetObservations drops the
+// whole state.
+type fitState struct {
+	rec float64 // the recency every field below was built for
 
-	// expf caches the curve basis 1 − e^(−r·iters[j]) per grid rate:
-	// expf[ri][j] for fitRates[ri]. Each term depends only on the rate
-	// grid (fixed) and one observation (append-only), so it is computed
-	// once; the fit's inner loops then run multiply-adds with the exact
-	// float64s a from-scratch evaluation would produce. This removes the
-	// 2·|rates|·n exp calls per fit that dominated simulation profiles.
-	expf [][]float64 //mlfs:derived basis cache, regrown bit-identically on demand
+	// Fit memo: the fit at n observations stays valid until the n+1th
+	// arrives, and schedulers ask for it several times per round per job
+	// (stop decisions, accuracy extrapolation). n == 0 means no memo.
+	n                int
+	amax, rate, conf float64
+	ok               bool
+
+	// pows[k] = rec^k, each computed once with math.Pow, so the weight
+	// vector {rec^0 … rec^(n-1)} is bit-identical to recomputing it.
+	pows []float64
+
+	// expf[ri][j] = 1 − e^(−fitRates[ri]·iters[j]): each term depends on
+	// the fixed grid and one observation, so it is computed once.
+	expf [][]float64
+
+	// Running sums over the observations folded so far (as many as
+	// expf[0] holds), weighted w_j = rec^(folded-1-j): num[ri] = Σw·acc·F
+	// and den[ri] = Σw·F² per rate, saa = Σw·acc². Folding one
+	// observation costs O(|rates|): s ← rec·s + term.
+	num, den []float64
+	saa      float64
+	// inDomain: every folded observation has acc ∈ {0} ∪ [minCertAcc, 1]
+	// and iteration ≥ 0, the domain certify's error bound covers.
+	inDomain bool
+
+	lo        []float64 // certify scratch: per-rate lower bound on the fit's weighted SSE
+	certified bool      // the last computed fit evaluated certify's candidates only
 }
 
 // fitRates is the log-spaced rate grid of the fit, covering very slow to
@@ -82,15 +105,13 @@ func (p *Predictor) Observations() (iters []int, accs []float64) {
 }
 
 // SetObservations replaces the whole observation series (snapshot
-// restore). The fit memo and basis caches are dropped; they are pure
-// functions of the series, so the next Fit recomputes bit-identical
-// values to a predictor that observed the same points one by one.
+// restore). The fit state is dropped; it is a pure function of the
+// series, so the next Fit recomputes bit-identical values to a predictor
+// that observed the same points one by one.
 func (p *Predictor) SetObservations(iters []int, accs []float64) {
 	p.iters = append(p.iters[:0], iters...)
 	p.accs = append(p.accs[:0], accs...)
-	p.fitN = 0
-	p.pows = nil
-	p.expf = nil
+	p.fit = nil
 }
 
 // LastIteration returns the latest observed iteration (0 when empty).
@@ -103,6 +124,11 @@ func (p *Predictor) LastIteration() int {
 
 // Fit returns the fitted (amax, rate) and a confidence in (0, 1]. It
 // requires at least three observations; ok is false otherwise.
+//
+// For each grid rate r the fit takes amax = Σw·acc·F / Σw·F² (F the basis
+// 1 − e^(−r·i)), drops rates whose amax is outside (0, 1.2], and keeps
+// the rate with the least weighted mean squared error, the earliest on a
+// tie. certify names the rates that can win; only those are evaluated.
 func (p *Predictor) Fit() (amax, rate, confidence float64, ok bool) {
 	n := len(p.iters)
 	if n < 3 {
@@ -112,58 +138,39 @@ func (p *Predictor) Fit() (amax, rate, confidence float64, ok bool) {
 	if rec <= 0 || rec > 1 {
 		rec = 0.97
 	}
-	if p.fitN == n && p.fitRec == rec { //mlfs:allow floatcmp exact cache-key match: rec is a configured constant, equality means the memoised fit is for this recency
-		return p.fitAmax, p.fitRate, p.fitConf, p.fitOK
+	st := p.fit
+	if st == nil || st.rec != rec { //mlfs:allow floatcmp exact cache-key match: every cached weight and sum was built for exactly this recency; any bit change rebuilds them
+		st = newFitState(rec)
+		p.fit = st
 	}
-	if len(p.pows) > 0 && p.fitRec != rec { //mlfs:allow floatcmp exact cache-key mismatch invalidates the power table; any bit change must rebuild it
-		p.pows = p.pows[:0] // Recency changed: the cached powers are stale
+	if st.n == n {
+		return st.amax, st.rate, st.conf, st.ok
 	}
-	for k := len(p.pows); k < n; k++ {
-		p.pows = append(p.pows, math.Pow(rec, float64(k)))
+	for k := len(st.pows); k < n; k++ {
+		st.pows = append(st.pows, math.Pow(rec, float64(k)))
 	}
-	// w_j = rec^(n-1-j), read out of the shared power table.
-	w := p.pows[:n]
-	// Extend the basis cache to cover the new observations.
-	if p.expf == nil {
-		p.expf = make([][]float64, len(fitRates))
+	st.fold(p.iters, p.accs)
+	// w_j = rec^(n-1-j), read out of the shared power table. The weight
+	// sum is the same for every rate, accumulated in the same order.
+	w := st.pows[:n]
+	var wsum float64
+	for j := range p.iters {
+		wsum += w[n-1-j]
 	}
-	for ri, r := range fitRates {
-		col := p.expf[ri]
-		for j := len(col); j < n; j++ {
-			col = append(col, 1-math.Exp(-r*float64(p.iters[j])))
-		}
-		p.expf[ri] = col
-	}
+	cut, certified := st.certify(n)
 	bestSSE := math.Inf(1)
 	for ri, r := range fitRates {
-		F := p.expf[ri][:n]
-		var num, den float64
-		for j := range p.iters {
-			num += w[n-1-j] * p.accs[j] * F[j]
-			den += w[n-1-j] * F[j] * F[j]
+		if certified && st.lo[ri] > cut {
+			continue // proven to lose to a certainly valid rate
 		}
-		if den == 0 {
-			continue
-		}
-		a := num / den
-		if a <= 0 || a > 1.2 {
-			continue
-		}
-		var sse, wsum float64
-		for j := range p.iters {
-			f := a * F[j]
-			d := p.accs[j] - f
-			sse += w[n-1-j] * d * d
-			wsum += w[n-1-j]
-		}
-		sse /= wsum
-		if sse < bestSSE {
+		a, sse, valid := fitRate(st.expf[ri][:n], w, p.accs, wsum)
+		if valid && sse < bestSSE {
 			bestSSE, amax, rate = sse, a, r
 		}
 	}
+	st.n, st.certified = n, certified
 	if math.IsInf(bestSSE, 1) {
-		p.fitN, p.fitRec = n, rec
-		p.fitAmax, p.fitRate, p.fitConf, p.fitOK = 0, 0, 0, false
+		st.amax, st.rate, st.conf, st.ok = 0, 0, 0, false
 		return 0, 0, 0, false
 	}
 	// Confidence shrinks with the (weighted RMS) residual relative to the
@@ -173,9 +180,170 @@ func (p *Predictor) Fit() (amax, rate, confidence float64, ok bool) {
 	if confidence < 0 {
 		confidence = 0
 	}
-	p.fitN, p.fitRec = n, rec
-	p.fitAmax, p.fitRate, p.fitConf, p.fitOK = amax, rate, confidence, true
+	st.amax, st.rate, st.conf, st.ok = amax, rate, confidence, true
 	return amax, rate, confidence, true
+}
+
+// fitRate is the weighted least-squares fit at one grid rate with basis
+// F: the closed-form amax and the weighted mean squared error, or
+// valid == false when the rate is skipped (Σw·F² = 0 or amax outside
+// (0, 1.2]). Its expressions and summation order are the historical
+// ones; certify's error bound is stated about exactly this evaluation.
+func fitRate(F, w, accs []float64, wsum float64) (a, sse float64, valid bool) {
+	n := len(accs)
+	var num, den float64
+	for j := range accs {
+		num += w[n-1-j] * accs[j] * F[j]
+		den += w[n-1-j] * F[j] * F[j]
+	}
+	if den == 0 {
+		return 0, 0, false
+	}
+	a = num / den
+	if a <= 0 || a > 1.2 {
+		return 0, 0, false
+	}
+	for j := range accs {
+		f := a * F[j]
+		d := accs[j] - f
+		sse += w[n-1-j] * d * d
+	}
+	return a, sse / wsum, true
+}
+
+func newFitState(rec float64) *fitState {
+	return &fitState{
+		rec:      rec,
+		expf:     make([][]float64, len(fitRates)),
+		num:      make([]float64, len(fitRates)),
+		den:      make([]float64, len(fitRates)),
+		lo:       make([]float64, len(fitRates)),
+		inDomain: true,
+	}
+}
+
+// fold extends the basis cache and the running sums to every observation.
+func (st *fitState) fold(iters []int, accs []float64) {
+	n, rec, from := len(iters), st.rec, len(st.expf[0])
+	for j := from; j < n; j++ {
+		acc := accs[j]
+		if iters[j] < 0 || !(acc == 0 || acc >= minCertAcc && acc <= 1) {
+			st.inDomain = false
+		}
+		st.saa = rec*st.saa + acc*acc
+	}
+	for ri, r := range fitRates {
+		col, num, den := st.expf[ri], st.num[ri], st.den[ri]
+		for j := from; j < n; j++ {
+			f := 1 - math.Exp(-r*float64(iters[j]))
+			col = append(col, f)
+			num = rec*num + accs[j]*f
+			den = rec*den + f*f
+		}
+		st.expf[ri], st.num[ri], st.den[ri] = col, num, den
+	}
+}
+
+// Constants of the candidate proof (certify).
+const (
+	unitRoundoff = 0x1p-53   // u: float64 round-to-nearest relative error
+	minCertAcc   = 0x1p-100  // smallest nonzero accuracy the proof covers
+	minCertW     = 0x1p-480  // smallest weight rec^(n-1) the proof covers
+	minCertNum   = 0x1p-200  // smallest nonzero running Σw·acc·F it covers
+	maxCertN     = 1 << 20   // most observations it covers
+	subnormalSSE = 0x1p-1000 // t: absolute slack for underflowing SSE products
+	tieMargin    = 0x1p-40   // relative gap that survives the division by Σw
+	minCut       = 0x1p-900  // keeps every excluded SSE / Σw a normal float
+)
+
+// certify bounds, from the running sums alone, what fitRate would return
+// at every grid rate at n observations, and proves which rates cannot be
+// the fit. It fills st.lo with a lower bound on each rate's unnormalised
+// SSE (+Inf for a rate fitRate certainly skips) and returns cut: every
+// rate with st.lo[ri] > cut loses to some rate fitRate certainly accepts.
+// Scanning only the remaining rates, in ascending order with the
+// historical strict < test, then picks the same rate with the same bits
+// as scanning all of them. ok is false when the bound does not apply;
+// the caller then evaluates every rate.
+//
+// Setting. Let ω_k = rec^k (rec the float64 recency), and over the n
+// observations let N = Σω·acc·F, D = Σω·F², A = Σω·acc², all with
+// ω = ω_(n-1-j). On the domain (acc ∈ {0} ∪ [2^-100, 1], iteration ≥ 0
+// so F ∈ {0} ∪ [1−e^(−1e-4), 1], ω_(n-1) ≥ 2^-480) every term of these
+// sums is zero or a normal float and non-negative, so a relative error
+// bound on each term is one on the sum. With u = 2^-53:
+//
+//   - fitRate's num, den and SSE sum: math.Pow evaluates rec^k by
+//     repeated squaring, relative error ≤ (1+u)^k − 1; two products and
+//     n−1 additions follow. Each term is off by at most (1+u)^(2n) − 1.
+//   - the running sums: a term is rounded once as a product, once when
+//     added, then once per later rec· and +: again (1+u)^(2n) − 1.
+//
+// So e = 4nu (≥ (1+u)^(2n) − 1 and ≥ 12u) bounds the relative error of
+// every sum here. Fused multiply-adds only remove roundings.
+//
+// Validity. fitRate's a and the estimate ã = num/den are each within 3e
+// of α = N/D, so a ∈ ã·[1−7e, 1+7e]. num = 0 iff N = 0, and then fitRate
+// skips the rate (den = 0 or a = 0). ã·(1−8e) > 1.2 proves a > 1.2;
+// num > 0 and ã·(1+8e) < 1.2 prove a ∈ (0, 1.2): certainly valid.
+//
+// SSE. fitRate's sum before the division is X = Σw·d·d with
+// d = acc − fl(a·F). Let S(a) = Σω(acc − a·F)² = S* + D(a − α)², where
+// S* = A − Q ≥ 0 with Q = N²/D (Cauchy–Schwarz). Then
+// S(a) ∈ [S*, S* + 9e²·Q]. fl(a·F) moves d by a vector η of weighted
+// norm ≤ u·a·√D ≤ 1.01u·√Q, so |‖d‖² − S(a)| ≤ 2‖η‖·√S(a) + ‖η‖² ≤
+// 2u·(S(a) + Q) ≤ 2u·(A + Q) up to O(e²), and
+//
+//	(1−e)(1−u)²·(S* − 2u(A + Q)) − t ≤ X ≤ (1+e)(1+u)²·(S* + 9e²Q + 2u(A + Q)) + t
+//
+// where t = 2^-1000 covers products w·d and w·d·d that underflow. From
+// the running sums, Q̃ = num·ã is within 5e of Q and saa within e of A,
+// so S* ∈ (saa − Q̃) ± 5.1e·(saa + Q̃). The code takes 8e·(saa + Q̃),
+// 16e²·Q̃ and factors 1 ± 2e: since e ≥ 12u, the spare 2.9e absorbs the
+// 2u terms and the few roundings of evaluating the bounds themselves.
+//
+// Cut. Let T be the least upper bound over certainly valid rates and
+// cut = max(T·(1+2^-40), 2^-900). If X_R ≥ lo_R > cut, then X_R/W and
+// X_B/W (W = Σw ≤ n, the common divisor) are at least 2^-40 apart
+// relatively with X_R/W a normal float, so fl(X_R/W) > fl(X_B/W)
+// strictly: R loses to B even after the division's rounding, and no tie
+// the strict < would break toward R can appear.
+//
+// Fallback (ok == false): an observation outside the domain (non-finite
+// or out-of-range accuracy, negative iteration), n > maxCertN (the bound
+// holds for e ≪ 1 and ≤ 2^20 underflowing products), ω_(n-1) < 2^-480
+// or a running Σw·acc·F in (0, 2^-200) (underflow), or no certainly
+// valid rate.
+func (st *fitState) certify(n int) (cut float64, ok bool) {
+	if !st.inDomain || n > maxCertN || !(st.pows[n-1] >= minCertW) {
+		return 0, false
+	}
+	e := 4 * float64(n) * unitRoundoff
+	best := math.Inf(1)
+	for ri := range fitRates {
+		num, den := st.num[ri], st.den[ri]
+		st.lo[ri] = math.Inf(1)
+		if num == 0 {
+			continue // N = 0: fitRate skips the rate
+		}
+		if num < minCertNum {
+			return 0, false
+		}
+		a := num / den
+		if a*(1-8*e) > 1.2 {
+			continue // certainly amax > 1.2
+		}
+		q := num * a // ≈ N²/D
+		diff, slack := st.saa-q, 8*e*(st.saa+q)
+		st.lo[ri] = (1-2*e)*math.Max(0, diff-slack) - subnormalSSE
+		if a*(1+8*e) < 1.2 {
+			best = math.Min(best, (1+2*e)*(diff+slack+16*e*e*q)+subnormalSSE)
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, false
+	}
+	return math.Max(best*(1+tieMargin), minCut), true
 }
 
 // Predict extrapolates the accuracy at iteration iter. ok is false when
@@ -297,8 +465,11 @@ func (d StopDecision) ShouldStop(p *Predictor, iter int, achieved float64) bool 
 		if hopeless() {
 			return true
 		}
+		if p.NumObservations() < minObs {
+			return false
+		}
 		amax, _, c, ok := p.Fit()
-		if !ok || p.NumObservations() < minObs {
+		if !ok {
 			return false
 		}
 		// Converged: achieved accuracy is within NearMaxFraction of the

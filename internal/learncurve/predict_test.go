@@ -206,3 +206,51 @@ func TestOptStopSavesIterations(t *testing.T) {
 		t.Fatal("OptStop never saved iterations across 30 ResNet curves")
 	}
 }
+
+// TestShouldStopVerdictsPinned pins ShouldStop's verdict for every
+// option across curves and observation counts on both sides of the
+// MinObservations gate (default 12), and checks that a predictor below
+// the gate is never fitted: every option decides it without a fit.
+func TestShouldStopVerdictsPinned(t *testing.T) {
+	curves := []struct {
+		name   string
+		c      Curve
+		target float64
+	}{
+		{"converging", Curve{L0: 2, Floor: 0.1, Decay: 1, AccMax: 0.9, Rate: 0.05}, 0.8},
+		{"hopeless", Curve{L0: 2, Floor: 0.1, Decay: 1, AccMax: 0.6, Rate: 0.05}, 0.9},
+		{"slow", Curve{L0: 2, Floor: 0.1, Decay: 1, AccMax: 0.9, Rate: 0.004}, 0.85},
+		{"fast", Curve{L0: 2, Floor: 0.1, Decay: 1, AccMax: 0.95, Rate: 0.3}, 0.5},
+		{"saturated", Curve{L0: 2, Floor: 0.1, Decay: 1, AccMax: 0.95, Rate: 1}, 0.97},
+	}
+	const maxIter = 240
+	counts := []int{3, 5, 11, 12, 13, 40, 79, 80, 120, 200, maxIter}
+	// One verdict per count, "1" = stop.
+	want := map[StopOption][]string{
+		RunToMaxIterations: {"00000000001", "00000000001", "00000000001", "00000000001", "00000000001"},
+		OptStop:            {"00000000111", "00000001111", "00000001111", "00000111111", "00011111111"},
+		StopAtTarget:       {"00000011111", "00000001111", "00000001111", "11111111111", "00000000001"},
+	}
+	for _, opt := range []StopOption{RunToMaxIterations, OptStop, StopAtTarget} {
+		for ci, cv := range curves {
+			got := make([]byte, len(counts))
+			for k, n := range counts {
+				var p Predictor
+				for i := 1; i <= n; i++ {
+					p.Observe(i, cv.c.Accuracy(i))
+				}
+				d := StopDecision{Option: opt, Target: cv.target, MaxIterations: maxIter}
+				got[k] = '0'
+				if d.ShouldStop(&p, n, cv.c.Accuracy(n)) {
+					got[k] = '1'
+				}
+				if n < 12 && p.fit != nil {
+					t.Errorf("%v/%s: ShouldStop fitted a predictor with %d observations", opt, cv.name, n)
+				}
+			}
+			if string(got) != want[opt][ci] {
+				t.Errorf("%v/%s: verdicts %s, want %s (counts %v)", opt, cv.name, got, want[opt][ci], counts)
+			}
+		}
+	}
+}

@@ -433,6 +433,17 @@ func decodeJob(r *snapshot.Reader, j *job.Job) error {
 	if len(iters) != len(accs) {
 		return snapshot.Corruptf("job %d has %d curve iterations but %d accuracies", j.ID, len(iters), len(accs))
 	}
+	// The series is what Predictor.Observe builds from clamped
+	// ObservedAccuracy values: strictly increasing iterations, each
+	// accuracy in [0, 1].
+	for k, acc := range accs {
+		if k > 0 && iters[k] <= iters[k-1] {
+			return snapshot.Corruptf("job %d curve iteration %d does not follow %d", j.ID, iters[k], iters[k-1])
+		}
+		if !(acc >= 0 && acc <= 1) {
+			return snapshot.Corruptf("job %d curve accuracy %v is outside [0, 1]", j.ID, acc)
+		}
+	}
 	j.State = job.State(state)
 	j.Progress = progress
 	j.FinishTime = finishTime

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"mlfs/internal/core"
+	"mlfs/internal/job"
 	"mlfs/internal/snapshot"
 	"mlfs/internal/trace"
 )
@@ -75,6 +77,76 @@ func TestRestoreRejectsBadTallies(t *testing.T) {
 			s := midRun()
 			defer s.Close()
 			tc.edit(s)
+			if err := restore(s); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("Restore = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsImpossibleCurveSeries: Predictor.Observe keeps
+// iterations strictly increasing and the simulator feeds it clamped
+// accuracies, so a snapshot whose learning-curve series breaks either
+// rule is corrupt and Restore must say so.
+func TestRestoreRejectsImpossibleCurveSeries(t *testing.T) {
+	mk := func() *Simulator {
+		t.Helper()
+		tr := trace.Generate(trace.GenConfig{Jobs: 20, Seed: 9})
+		s, err := New(Config{Cluster: testClusterCfg(), Source: trace.NewSliceSource(tr), Scheduler: core.NewMLFH()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// observed steps a fresh simulator until a live job has observed at
+	// least three points of its curve, and returns that job's series.
+	observed := func() (*Simulator, *job.Job) {
+		s := mk()
+		for {
+			for _, j := range s.ActiveJobs() {
+				if j.Predictor.NumObservations() >= 3 {
+					return s, j
+				}
+			}
+			if more, err := s.RunStep(); err != nil || !more {
+				t.Fatalf("setup: no job observed three points (err %v)", err)
+			}
+		}
+	}
+	restore := func(s *Simulator) error {
+		t.Helper()
+		payload, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := mk()
+		defer fresh.Close()
+		return fresh.Restore(payload)
+	}
+
+	s, _ := observed()
+	if err := restore(s); err != nil {
+		t.Fatalf("control: unedited snapshot does not restore: %v", err)
+	}
+	s.Close()
+
+	for _, tc := range []struct {
+		name string
+		edit func(iters []int, accs []float64)
+	}{
+		{"repeated iteration", func(iters []int, _ []float64) { iters[2] = iters[1] }},
+		{"decreasing iteration", func(iters []int, _ []float64) { iters[1], iters[2] = iters[2], iters[1] }},
+		{"NaN accuracy", func(_ []int, accs []float64) { accs[1] = math.NaN() }},
+		{"negative accuracy", func(_ []int, accs []float64) { accs[0] = -0.01 }},
+		{"accuracy above 1", func(_ []int, accs []float64) { accs[2] = 1.01 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, j := observed()
+			defer s.Close()
+			iters, accs := j.Predictor.Observations()
+			iters, accs = append([]int(nil), iters...), append([]float64(nil), accs...)
+			tc.edit(iters, accs)
+			j.Predictor.SetObservations(iters, accs)
 			if err := restore(s); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("Restore = %v, want ErrCorrupt", err)
 			}

@@ -36,6 +36,7 @@ var snapverPinned = map[uint32]uint64{
 	4: 0x1bd550df07e3c293,
 	5: 0xe50587d483ec5007,
 	6: 0x988a2391233ce0e2,
+	7: 0xbeaac1d00534359f,
 }
 
 // snapverRoots are the structs whose fields feed snapshot payloads,

@@ -28,7 +28,7 @@ import (
 // FormatVersion is the snapshot payload format version. Bump it whenever
 // the byte layout changes — including any field added to or removed from
 // a snapshotted struct (the snapver guard test enforces this).
-const FormatVersion = 6
+const FormatVersion = 7
 
 // ErrCorrupt marks snapshot bytes that cannot be decoded: bad magic,
 // checksum mismatch, truncation, or values that fail validation.
