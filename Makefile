@@ -2,8 +2,9 @@
 # vet, the invariant linters (the package-comment check included), the
 # full test suite (the serve-smoke parity tests included), the
 # Philly-scale streaming smoke, and the test suite again under the race
-# detector (the simulator fans per-tick work out over a goroutine
-# pool, so races are a first-class failure mode here). The focused
+# detector (the simulator is single-threaded, but the service runs its
+# event loop, the standby follower and the HTTP handlers on separate
+# goroutines around it). The focused
 # targets below (docs, resume, serve-smoke, failover) are subsets of
 # that gate, kept for running one surface alone.
 # `make lint` runs cmd/mlfs-lint, the in-repo analyzer suite that

@@ -4,8 +4,7 @@
 // expected orderings (shape.txt).
 //
 // With -simbench it instead profiles the simulator hot path itself
-// (ns/tick, allocs/tick, jobs per wall-second; serial vs parallel job
-// advancement) and writes the machine-readable BENCH_sim.json used to
+// (ns/tick, allocs/tick, jobs per wall-second) and writes the machine-readable BENCH_sim.json used to
 // track scheduler-loop performance across revisions.
 //
 // With -nnbench it profiles the MLF-RL policy engine: the end-to-end
@@ -316,14 +315,13 @@ func writeShapeReport(path string, results map[string][]*mlfs.Result) error {
 type simBenchEntry struct {
 	Scheduler      string  `json:"scheduler"`
 	Jobs           int     `json:"jobs"`
-	AdvanceWorkers int     `json:"advance_workers"`
 	Reps           int     `json:"reps"`
 	WallSeconds    float64 `json:"wall_seconds"` // best-of-reps for one full run
 	Ticks          int     `json:"ticks"`
 	NsPerTick      float64 `json:"ns_per_tick"`
 	AllocsPerTick  float64 `json:"allocs_per_tick"`
 	JobsPerWallSec float64 `json:"jobs_per_wall_second"`
-	AvgJCTMin      float64 `json:"avg_jct_min"` // result fingerprint: must not move with workers
+	AvgJCTMin      float64 `json:"avg_jct_min"` // result fingerprint
 }
 
 // simBenchHeadline is the BenchmarkFig5_LargeScale-equivalent workload
@@ -348,8 +346,8 @@ type simBenchReport struct {
 }
 
 // runSimBench measures complete simulation runs (trace generation
-// excluded) for representative schedulers, serial versus pooled job
-// advancement, and writes the machine-readable report. Wall time is
+// excluded) for representative schedulers and writes the
+// machine-readable report. Wall time is
 // best-of-reps; allocations per tick are the total heap alloc count of a
 // run divided by its scheduling rounds.
 func runSimBench(path string, seed int64, jobs, reps int, baselineWall float64) error {
@@ -389,49 +387,45 @@ func runSimBench(path string, seed int64, jobs, reps int, baselineWall float64) 
 	base := mlfs.Options{Seed: seed, SchedOpts: mlfs.SchedulerOptions{Seed: seed}, Preset: mlfs.PaperReal}
 	tr := mlfs.GenerateTrace(jobs, seed, mlfs.DefaultTraceDuration(jobs))
 	for _, schedName := range []string{"mlfs", "mlf-h", "tiresias"} {
-		for _, workers := range []int{1, 0} { // serial, then GOMAXPROCS pool
-			opts := base
-			opts.Scheduler = schedName
-			opts.Trace = tr
-			opts.AdvanceWorkers = workers
-			var best *mlfs.Result
-			bestWall := 0.0
-			var allocsPerTick float64
-			for r := 0; r < reps; r++ {
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				start := time.Now()
-				res, err := mlfs.Run(opts)
-				wall := time.Since(start).Seconds()
-				runtime.ReadMemStats(&m1)
-				if err != nil {
-					return err
-				}
-				if best == nil || wall < bestWall {
-					best, bestWall = res, wall
-					if res.Counters.SchedRounds > 0 {
-						allocsPerTick = float64(m1.Mallocs-m0.Mallocs) / float64(res.Counters.SchedRounds)
-					}
+		opts := base
+		opts.Scheduler = schedName
+		opts.Trace = tr
+		var best *mlfs.Result
+		bestWall := 0.0
+		var allocsPerTick float64
+		for r := 0; r < reps; r++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			start := time.Now()
+			res, err := mlfs.Run(opts)
+			wall := time.Since(start).Seconds()
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				return err
+			}
+			if best == nil || wall < bestWall {
+				best, bestWall = res, wall
+				if res.Counters.SchedRounds > 0 {
+					allocsPerTick = float64(m1.Mallocs-m0.Mallocs) / float64(res.Counters.SchedRounds)
 				}
 			}
-			entry := simBenchEntry{
-				Scheduler:      schedName,
-				Jobs:           jobs,
-				AdvanceWorkers: workers,
-				Reps:           reps,
-				WallSeconds:    bestWall,
-				Ticks:          best.Counters.SchedRounds,
-				AllocsPerTick:  allocsPerTick,
-				JobsPerWallSec: float64(jobs) / bestWall,
-				AvgJCTMin:      best.AvgJCTSec / 60,
-			}
-			if entry.Ticks > 0 {
-				entry.NsPerTick = bestWall * 1e9 / float64(entry.Ticks)
-			}
-			report.Entries = append(report.Entries, entry)
-			fmt.Printf("simbench %-9s workers=%d  %.2fs wall  %.0f ns/tick  %.1f allocs/tick  %.1f jobs/s\n",
-				schedName, workers, bestWall, entry.NsPerTick, entry.AllocsPerTick, entry.JobsPerWallSec)
 		}
+		entry := simBenchEntry{
+			Scheduler:      schedName,
+			Jobs:           jobs,
+			Reps:           reps,
+			WallSeconds:    bestWall,
+			Ticks:          best.Counters.SchedRounds,
+			AllocsPerTick:  allocsPerTick,
+			JobsPerWallSec: float64(jobs) / bestWall,
+			AvgJCTMin:      best.AvgJCTSec / 60,
+		}
+		if entry.Ticks > 0 {
+			entry.NsPerTick = bestWall * 1e9 / float64(entry.Ticks)
+		}
+		report.Entries = append(report.Entries, entry)
+		fmt.Printf("simbench %-9s %.2fs wall  %.0f ns/tick  %.1f allocs/tick  %.1f jobs/s\n",
+			schedName, bestWall, entry.NsPerTick, entry.AllocsPerTick, entry.JobsPerWallSec)
 	}
 	f, err := os.Create(path)
 	if err != nil {

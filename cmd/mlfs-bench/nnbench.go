@@ -110,7 +110,6 @@ func runNNBench(path string, baselineWall float64) error {
 	report.Micro = append(report.Micro,
 		nnMicro("scoring/reference", func(b *testing.B) {
 			p := newPolicy(true)
-			defer p.Close()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cands := make([][]float64, 16)
@@ -124,7 +123,6 @@ func runNNBench(path string, baselineWall float64) error {
 		}),
 		nnMicro("scoring/batched", func(b *testing.B) {
 			p := newPolicy(false)
-			defer p.Close()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				x := p.Candidates(16)
@@ -136,7 +134,6 @@ func runNNBench(path string, baselineWall float64) error {
 		}),
 		nnMicro("imitation/reference", func(b *testing.B) {
 			p := newPolicy(true)
-			defer p.Close()
 			cands := make([][]float64, 16)
 			for c := range cands {
 				cands[c] = make([]float64, 18)
@@ -149,7 +146,6 @@ func runNNBench(path string, baselineWall float64) error {
 		}),
 		nnMicro("imitation/batched", func(b *testing.B) {
 			p := newPolicy(false)
-			defer p.Close()
 			x := p.Candidates(16)
 			for c := 0; c < 16; c++ {
 				nnFillFeatures(x.Row(c), 0, c)
@@ -161,7 +157,6 @@ func runNNBench(path string, baselineWall float64) error {
 		}),
 		nnMicro("imitation/minibatch16", func(b *testing.B) {
 			p := newPolicy(false)
-			defer p.Close()
 			x := p.Candidates(16)
 			for c := 0; c < 16; c++ {
 				nnFillFeatures(x.Row(c), 0, c)

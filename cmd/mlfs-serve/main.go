@@ -47,7 +47,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "policy seed")
 		timescale = flag.Float64("timescale", 0, "simulated seconds per wall second (0 = as fast as possible)")
 		tick      = flag.Float64("tick", 0, "scheduling period in simulated seconds (default 60)")
-		workers   = flag.Int("workers", 0, "job-advancement goroutines (0 = GOMAXPROCS; results identical for any value)")
 		wobble    = flag.Float64("wobble", 0, "task demand variation amplitude (0 = default 0.35, negative disables)")
 		paused    = flag.Bool("paused", false, "start with the clock paused (resume via POST /v1/resume)")
 
@@ -81,7 +80,6 @@ func main() {
 		Cluster:        clusterConfig(*preset, *servers, *gpus),
 		TickSec:        *tick,
 		DemandWobble:   *wobble,
-		AdvanceWorkers: *workers,
 		Timescale:      *timescale,
 		SnapshotEvery:  *snapEvery,
 		SnapshotPath:   *snapPath,

@@ -38,7 +38,6 @@ func main() {
 		list      = flag.Bool("list", false, "list scheduler names and exit")
 		sweepP    = flag.String("sweep", "", "sweep one MLF-H parameter (alpha|gamma|gamma_d|gamma_r|gamma_w|ps|hr|hs)")
 		sweepV    = flag.String("values", "", "comma-separated sweep values")
-		workers   = flag.Int("workers", 0, "job-advancement goroutines (0 = GOMAXPROCS; results identical for any value)")
 
 		mttf     = flag.Float64("mttf", 0, "mean time to server failure in seconds (0 disables fault injection)")
 		mttr     = flag.Float64("mttr", 600, "mean time to server repair in seconds")
@@ -66,7 +65,6 @@ func main() {
 		SchedOpts: mlfs.SchedulerOptions{Seed: *seed},
 		Preset:    mlfs.ClusterPreset(*preset),
 		Servers:   *servers, GPUsPerServer: *gpus,
-		AdvanceWorkers: *workers,
 	}
 	if *traceCSV != "" {
 		tr, err := mlfs.LoadTraceCSV(*traceCSV)

@@ -15,7 +15,7 @@ import (
 // Determinism contract: every server draws from its own *rand.Rand,
 // seeded once from a master stream, so the event sequence is a pure
 // function of (seed, server count, MTTF, MTTR) — independent of tick
-// length, scheduler choice and simulator worker count. Events are
+// length and scheduler choice. Events are
 // popped in (time, server-index) order; ties break toward the lowest
 // server index. The process never reads the wall clock (noclock) and
 // never ranges a map (mapiter).

@@ -52,23 +52,6 @@ func TestSimBatchedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSimWorkerInvariance: the engine pool width must never change
-// simulation results (same standard as sim's AdvanceWorkers).
-func TestSimWorkerInvariance(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ImitationRounds = 60
-	cfg.RewardDelayRounds = 3
-	cfg.BatchSize = 8
-	cfg.NNWorkers = 1
-	serial := runSim(t, cfg, false)
-	cfg.NNWorkers = 8
-	parallel := runSim(t, cfg, false)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("NNWorkers changed simulation results:\n1 worker:  %+v\n8 workers: %+v",
-			serial, parallel)
-	}
-}
-
 // TestImitationMinibatchMetricsInvariant: during the imitation phase
 // placements follow MLF-H regardless of what the network has learned,
 // so imitation minibatching (the training-schedule change) must leave

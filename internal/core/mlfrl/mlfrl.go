@@ -11,7 +11,7 @@
 // scheduler's own per-decision buffers (candidate filter, feature rows,
 // migration bookkeeping) are reused across rounds, so a steady-state
 // scheduling decision allocates nothing. Results are bit-identical to
-// the per-candidate path for any engine worker count.
+// the per-candidate path.
 //
 // Determinism: exploration and weight initialisation use explicitly
 // seeded sources, so training and inference replay bit-identically under
@@ -81,10 +81,6 @@ type Config struct {
 	// simulation metrics are unchanged by imitation batching; REINFORCE
 	// batching changes the (deterministic) update trajectory.
 	BatchSize int
-	// NNWorkers is the nn engine's worker-pool width (0 = GOMAXPROCS).
-	// Kernels fan out only above fixed size thresholds and results are
-	// bit-identical for every width.
-	NNWorkers int
 	// Priority carries the Eq. 2–6 parameters used for queue ordering and
 	// feature computation.
 	Priority core.PriorityParams
@@ -198,11 +194,9 @@ func New(cfg Config) *Scheduler {
 	}
 	h := core.NewMLFH()
 	h.Params = cfg.Priority
-	p := nn.NewPolicy(FeatureSize, cfg.Hidden, cfg.LR, cfg.Seed)
-	p.SetWorkers(cfg.NNWorkers)
 	return &Scheduler{
 		cfg:    cfg,
-		policy: p,
+		policy: nn.NewPolicy(FeatureSize, cfg.Hidden, cfg.LR, cfg.Seed),
 		heur:   h,
 		tried:  make(map[job.TaskID]bool, 16),
 	}
@@ -210,10 +204,6 @@ func New(cfg Config) *Scheduler {
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "mlf-rl" }
-
-// Close releases the policy engine's worker pool. The simulator calls
-// it at the end of a run; idempotent.
-func (s *Scheduler) Close() { s.policy.Close() }
 
 // Policy exposes the underlying nn policy (test introspection and the
 // reference-path determinism seam).

@@ -1,13 +1,13 @@
 // Package lint is a from-scratch, stdlib-only static-analysis framework
 // that mechanically enforces the simulator's determinism and epoch-cache
-// invariants (DESIGN.md §8). The tick loop's bit-identical
-// serial-vs-parallel guarantee and the reproducibility MLF-RL training
-// depends on rest on conventions no compiler checks: map iteration must
-// not feed scheduling decisions unsorted, deterministic packages must not
-// read wall clocks or the global math/rand source, epoch-guarded load
-// state must only move through its designated mutators, float equality
-// must be deliberate, advance-pool goroutines must only read frozen
-// tick-start state, and every package must carry a package comment
+// invariants (DESIGN.md §8). Bit-identical simulation results and the
+// reproducibility MLF-RL training depends on rest on conventions no
+// compiler checks: map iteration must not feed scheduling decisions
+// unsorted, deterministic packages must not read wall clocks or the
+// global math/rand source, epoch-guarded load state must only move
+// through its designated mutators, float equality must be deliberate,
+// goroutines must not write shared state, the snapshot codec must cover
+// every mutable field, and every package must carry a package comment
 // documenting its role and determinism contract. Each analyzer turns one
 // of those conventions into a build failure.
 //
@@ -41,9 +41,9 @@ import (
 
 // DeterministicPaths are the import-path roots of the packages that must
 // stay bit-reproducible: every package here (and below it) is subject to
-// the mapiter, noclock and sharedcapture analyzers. The registry mirrors
-// the guarantee pinned by TestAdvanceWorkersDeterminism — these are the
-// packages a simulation run executes.
+// the mapiter, noclock and sharedcapture analyzers. These are the
+// packages a simulation run executes, whose results
+// TestResultFingerprints pins bit for bit.
 var DeterministicPaths = []string{
 	"mlfs/internal/sim",
 	"mlfs/internal/sched",

@@ -9,8 +9,7 @@ import (
 // source inside deterministic packages. time.Now/Since/Until leak host
 // timing into simulation state, and the package-level math/rand
 // functions share one mutable, impossible-to-seed-per-run source —
-// either breaks replayability and the serial-vs-parallel bit-identity
-// guarantee. Methods on an injected *rand.Rand (and the source
+// either breaks replayability. Methods on an injected *rand.Rand (and the source
 // constructors rand.New/NewSource/...) remain fine: that is the
 // sanctioned way to consume seeded randomness.
 var noClockAnalyzer = &Analyzer{

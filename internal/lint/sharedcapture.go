@@ -5,14 +5,12 @@ import (
 	"go/types"
 )
 
-// sharedCaptureAnalyzer guards the advance-pool contract of
-// internal/sim: goroutine closures in deterministic packages (the worker
-// pool that fans per-job cost computation out within a tick) must only
-// read frozen tick-start state. Any write through a captured variable —
-// a plain assignment, a compound assignment, ++/--, or a store through a
+// sharedCaptureAnalyzer keeps goroutines from writing shared state in
+// deterministic packages. One goroutine owns all simulation state; a
+// goroutine closure that writes through a captured variable — a plain
+// assignment, a compound assignment, ++/--, or a store through a
 // captured struct or slice — is both a data race under -race and a
-// source of merge-order nondeterminism, so every cross-job effect
-// belongs in the serial merge phase. Deliberate disjoint-index writes
+// source of schedule-dependent results. Deliberate disjoint-index writes
 // can be justified with //mlfs:allow sharedcapture.
 var sharedCaptureAnalyzer = &Analyzer{
 	Name:              "sharedcapture",
@@ -41,7 +39,7 @@ func runSharedCapture(p *Pass) {
 
 func checkCapturedWrites(p *Pass, info *types.Info, fl *ast.FuncLit) {
 	report := func(pos ast.Node, target ast.Expr, obj types.Object) {
-		p.Reportf(pos.Pos(), "goroutine closure writes %s captured from the enclosing function: pool workers must only read frozen tick-start state; move the write to the serial merge phase or use an atomic", types.ExprString(target))
+		p.Reportf(pos.Pos(), "goroutine closure writes %s captured from the enclosing function: goroutines must not write shared state; move the write to the owning goroutine or use an atomic", types.ExprString(target))
 	}
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		switch stmt := n.(type) {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // snapStateAnalyzer verifies snapshot completeness and encode/decode
@@ -61,8 +62,22 @@ type fieldInfo struct {
 	pkg   *Package
 }
 
-func runSnapState(p *ModulePass) {
-	ix := indexModule(p.Pkgs)
+// snapClasses is snapstate's classification of the loaded module: the
+// fields each side of the snapshot codec touches and the structs that
+// take part in the protocol.
+type snapClasses struct {
+	ix            *moduleIndex
+	fields        map[*types.Var]*fieldInfo
+	carrier       map[*types.Named]bool // writer/reader plumbing types
+	participating map[*types.Named]bool
+	encoded       map[*types.Var]bool
+	restored      map[*types.Var]bool
+}
+
+// classifySnapState builds the classification, or returns nil when the
+// loaded packages contain no snapshotting type.
+func classifySnapState(pkgs []*Package) *snapClasses {
+	ix := indexModule(pkgs)
 
 	// Writer/reader carrier types: the sole-parameter types of
 	// EncodeState/DecodeState methods. Their own internals (buffers,
@@ -112,34 +127,33 @@ func runSnapState(p *ModulePass) {
 		}
 	}
 	if len(encodeRoots) == 0 {
-		return
+		return nil
 	}
 
-	fields := fieldTable(p.Pkgs)
-	encoded := carrierMentions(ix, encodeRoots, writerTypes, carrier, fields)
-	restored := carrierMentions(ix, decodeRoots, readerTypes, carrier, fields)
+	c := &snapClasses{ix: ix, fields: fieldTable(pkgs), carrier: carrier}
+	c.encoded = carrierMentions(ix, encodeRoots, writerTypes, carrier, c.fields)
+	c.restored = carrierMentions(ix, decodeRoots, readerTypes, carrier, c.fields)
 
 	// Participation: root-pair types plus every type with an encoded
 	// field. Types mentioned only on the decode side (sched.Context,
 	// rebuilt indexes) are reconstruction plumbing, not snapshot state.
-	participating := make(map[*types.Named]bool)
+	c.participating = make(map[*types.Named]bool)
 	for named := range rootTypes {
-		participating[named] = true
+		c.participating[named] = true
 	}
-	for v := range encoded {
-		if fi := fields[v]; fi != nil {
-			participating[fi.owner] = true
+	for v := range c.encoded {
+		if fi := c.fields[v]; fi != nil {
+			c.participating[fi.owner] = true
 		}
 	}
+	return c
+}
 
-	// Runtime-mutable fields: assigned in code reachable from the
-	// tick-loop roots, excluding writes through constructor-built
-	// locals (T{...} / &T{...} / new(T) initialisation).
-	runtime, _ := ix.closure(runtimeRoots(ix), true, nil)
-	mutable := mutatedFields(ix, runtime, fields)
-
-	for _, named := range ix.named {
-		if !participating[named] || carrier[named] {
+// eachField calls fn for every unannotated declared field of every
+// participating struct, in (package, type, field) order.
+func (c *snapClasses) eachField(fn func(named *types.Named, f *types.Var, fi *fieldInfo)) {
+	for _, named := range c.ix.named {
+		if !c.participating[named] || c.carrier[named] {
 			continue
 		}
 		st, ok := named.Underlying().(*types.Struct)
@@ -148,25 +162,59 @@ func runSnapState(p *ModulePass) {
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			fi := fields[f]
-			if fi == nil || f.Name() == "_" {
+			fi := c.fields[f]
+			if fi == nil || f.Name() == "_" || fieldAnnotation(fi.decl) != "" {
 				continue
 			}
-			if fieldAnnotation(fi.decl) != "" {
-				continue
-			}
-			enc, dec := encoded[f], restored[f]
-			switch {
-			case enc && dec:
-			case enc && !dec:
-				p.Reportf(fi.decl.Pos(), "field %s.%s is written by the snapshot encode path but never read back by the decode path; restore it or annotate //mlfs:derived or //mlfs:transient", named.Obj().Name(), f.Name())
-			case !enc && dec:
-				p.Reportf(fi.decl.Pos(), "field %s.%s is restored by the snapshot decode path but never encoded; encode it or annotate //mlfs:derived (recomputed on restore) or //mlfs:transient", named.Obj().Name(), f.Name())
-			case mutable[f]:
-				p.Reportf(fi.decl.Pos(), "mutable field %s.%s is not reachable from the snapshot encode path; encode it, or annotate //mlfs:derived (recomputed on restore) or //mlfs:transient (excluded, with reason)", named.Obj().Name(), f.Name())
-			}
+			fn(named, f, fi)
 		}
 	}
+}
+
+// SnapshotSchema returns the snapshot payload's field schema: one line
+// "pkg.Type.field type" for every unannotated field of a participating
+// struct that the encode or decode path touches, sorted. Renaming,
+// retyping, adding or removing such a field changes the schema; a field
+// the codec never touches (scratch, caches, //mlfs:derived state) does
+// not. The snapshot version guard pins a hash of it per FormatVersion.
+func SnapshotSchema(pkgs []*Package) []string {
+	c := classifySnapState(pkgs)
+	if c == nil {
+		return nil
+	}
+	var lines []string
+	c.eachField(func(named *types.Named, f *types.Var, _ *fieldInfo) {
+		if c.encoded[f] || c.restored[f] {
+			lines = append(lines, named.Obj().Pkg().Path()+"."+named.Obj().Name()+"."+f.Name()+" "+types.TypeString(f.Type(), nil))
+		}
+	})
+	sort.Strings(lines)
+	return lines
+}
+
+func runSnapState(p *ModulePass) {
+	c := classifySnapState(p.Pkgs)
+	if c == nil {
+		return
+	}
+	// Runtime-mutable fields: assigned in code reachable from the
+	// tick-loop roots, excluding writes through constructor-built
+	// locals (T{...} / &T{...} / new(T) initialisation).
+	runtime, _ := c.ix.closure(runtimeRoots(c.ix), true, nil)
+	mutable := mutatedFields(c.ix, runtime, c.fields)
+
+	c.eachField(func(named *types.Named, f *types.Var, fi *fieldInfo) {
+		enc, dec := c.encoded[f], c.restored[f]
+		switch {
+		case enc && dec:
+		case enc && !dec:
+			p.Reportf(fi.decl.Pos(), "field %s.%s is written by the snapshot encode path but never read back by the decode path; restore it or annotate //mlfs:derived or //mlfs:transient", named.Obj().Name(), f.Name())
+		case !enc && dec:
+			p.Reportf(fi.decl.Pos(), "field %s.%s is restored by the snapshot decode path but never encoded; encode it or annotate //mlfs:derived (recomputed on restore) or //mlfs:transient", named.Obj().Name(), f.Name())
+		case mutable[f]:
+			p.Reportf(fi.decl.Pos(), "mutable field %s.%s is not reachable from the snapshot encode path; encode it, or annotate //mlfs:derived (recomputed on restore) or //mlfs:transient (excluded, with reason)", named.Obj().Name(), f.Name())
+		}
+	})
 }
 
 // derefNamed unwraps one pointer level and returns the named type, or

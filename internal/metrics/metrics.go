@@ -170,8 +170,8 @@ func ComputeFromTallies(scheduler string, tallies []Tally, c Counters) *Result {
 // depends on warm journal/skipper state a restore rebuilds
 // conservatively (every pending job is re-journalled, skip proofs are
 // discarded). Comparison tests call it on both sides before DeepEqual;
-// same-mode comparisons (worker counts, insertion orders) deliberately
-// do not, so journal determinism stays asserted.
+// same-mode comparisons (insertion orders) deliberately do not, so
+// journal determinism stays asserted.
 func (c *Counters) ZeroVolatile() {
 	c.SchedSeconds = 0
 	c.DirtyJobs = 0

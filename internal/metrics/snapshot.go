@@ -3,8 +3,9 @@ package metrics
 import "mlfs/internal/snapshot"
 
 // EncodeState serialises every counter. The field list lives here, next
-// to the struct, so the snapver guard catches a Counters field added
-// without extending the codec and bumping the format version.
+// to the struct: the snapstate lint flags a Counters field the codec
+// misses, and the version guard then demands a format-version bump for
+// extending it.
 func (c *Counters) EncodeState(w *snapshot.Writer) {
 	w.Float64(c.BandwidthMB)
 	w.Float64(c.MigrationMB)

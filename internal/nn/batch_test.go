@@ -27,7 +27,7 @@ func randomNet(rng *rand.Rand) (*Net, *Matrix) {
 // row through the per-sample Forward path, on random nets and batches.
 func TestForwardBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	ws := NewWorkspace(1)
+	ws := new(Workspace)
 	for trial := 0; trial < 50; trial++ {
 		n, x := randomNet(rng)
 		out := n.ForwardBatch(x, ws)
@@ -50,7 +50,7 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 // training path used.
 func TestBackpropBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	ws := NewWorkspace(1)
+	ws := new(Workspace)
 	for trial := 0; trial < 50; trial++ {
 		n, x := randomNet(rng)
 		out := n.OutputSize()
@@ -83,59 +83,6 @@ func TestBackpropBatchMatchesPerSample(t *testing.T) {
 			for i, v := range gWant.DB[l] {
 				if gGot.DB[l][i] != v {
 					t.Fatalf("trial %d: DB[%d][%d] = %v, per-sample %v", trial, l, i, gGot.DB[l][i], v)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchWorkerInvariance pins the pool guarantee at the same
-// standard as sim's AdvanceWorkers: forward logits and accumulated
-// gradients must be bit-identical for worker counts 1, 2 and 8, on a
-// problem large enough to actually engage the pool.
-func TestBatchWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	n := NewNet([]int{64, 128, 64, 8}, 3)
-	x := NewMatrix(256, 64)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	dOut := NewMatrix(256, 8)
-	for i := range dOut.Data {
-		dOut.Data[i] = rng.NormFloat64()
-	}
-
-	type result struct {
-		out *Matrix
-		g   *Grads
-	}
-	runWith := func(workers int) result {
-		ws := NewWorkspace(workers)
-		defer ws.Close()
-		out := n.ForwardBatch(x, ws).Clone()
-		g := n.NewGrads()
-		n.ForwardBatch(x, ws)
-		n.BackpropBatch(dOut, ws, g)
-		return result{out, g}
-	}
-
-	serial := runWith(1)
-	for _, workers := range []int{2, 8} {
-		got := runWith(workers)
-		for i, v := range serial.out.Data {
-			if got.out.Data[i] != v {
-				t.Fatalf("workers=%d: logit %d = %v, serial %v", workers, i, got.out.Data[i], v)
-			}
-		}
-		for l := range n.W {
-			for i, v := range serial.g.DW[l].Data {
-				if got.g.DW[l].Data[i] != v {
-					t.Fatalf("workers=%d: DW[%d][%d] = %v, serial %v", workers, l, i, got.g.DW[l].Data[i], v)
-				}
-			}
-			for i, v := range serial.g.DB[l] {
-				if got.g.DB[l][i] != v {
-					t.Fatalf("workers=%d: DB[%d][%d] = %v, serial %v", workers, l, i, got.g.DB[l][i], v)
 				}
 			}
 		}
@@ -218,8 +165,9 @@ func TestPolicyBatchedMatchesReference(t *testing.T) {
 	netsEqual(t, batched.Net, reference.Net)
 }
 
-// TestMinibatchStepDeterminism: accumulating a minibatch must be
-// worker-count invariant and must advance the optimiser exactly once.
+// TestMinibatchStepDeterminism: accumulating a minibatch must advance
+// the optimiser exactly once per flush, and two identically seeded
+// policies fed the same minibatches must end bit-identical.
 func TestMinibatchStepDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	batches := make([]*Matrix, 24)
@@ -232,10 +180,8 @@ func TestMinibatchStepDeterminism(t *testing.T) {
 		batches[i] = m
 		targets[i] = rng.Intn(16)
 	}
-	run := func(workers int) *Net {
+	run := func() *Net {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 7)
-		p.SetWorkers(workers)
-		defer p.Close()
 		for i, m := range batches {
 			p.AccumImitate(m, targets[i])
 			if p.Accumulated() == 8 {
@@ -243,14 +189,11 @@ func TestMinibatchStepDeterminism(t *testing.T) {
 			}
 		}
 		if p.Opt.StepCount() != 3 {
-			t.Fatalf("workers=%d: %d optimiser steps, want 3", workers, p.Opt.StepCount())
+			t.Fatalf("%d optimiser steps, want 3", p.Opt.StepCount())
 		}
 		return p.Net
 	}
-	serial := run(1)
-	for _, w := range []int{2, 8} {
-		netsEqual(t, serial, run(w))
-	}
+	netsEqual(t, run(), run())
 }
 
 // TestBatchedScoringZeroAllocs proves the zero-steady-state-allocation
@@ -258,7 +201,6 @@ func TestMinibatchStepDeterminism(t *testing.T) {
 // them, and taking an imitation step.
 func TestBatchedScoringZeroAllocs(t *testing.T) {
 	p := NewPolicy(18, []int{32, 16}, 3e-4, 19)
-	defer p.Close()
 	rng := rand.New(rand.NewSource(3))
 	fill := func(m *Matrix) {
 		for i := range m.Data {
@@ -291,7 +233,7 @@ func TestBatchedScoringZeroAllocs(t *testing.T) {
 // batch must reuse the grown buffers without reallocation.
 func TestWorkspaceReuseAcrossBatchSizes(t *testing.T) {
 	n := NewNet([]int{8, 16, 1}, 1)
-	ws := NewWorkspace(1)
+	ws := new(Workspace)
 	x := NewMatrix(40, 8)
 	n.ForwardBatch(x, ws)
 	if a := testing.AllocsPerRun(50, func() {

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // fillFeatures writes deterministic pseudo-features; the same values go
 // through both benchmark variants so only the engine differs.
@@ -23,7 +20,6 @@ func fillFeatures(dst []float64, decision, cand int) {
 func BenchmarkForwardBatch(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 1)
-		defer p.Close()
 		p.SetReference(true)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -39,7 +35,6 @@ func BenchmarkForwardBatch(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 1)
-		defer p.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -48,23 +43,6 @@ func BenchmarkForwardBatch(b *testing.B) {
 				fillFeatures(x.Row(c), i, c)
 			}
 			p.ProbsBatch(x)
-		}
-	})
-	// Above the MAC threshold the pool engages; this shape is what a
-	// BatchSize≫1 training flush on a wide net looks like.
-	b.Run("pooled-256x64-128-64-8", func(b *testing.B) {
-		n := NewNet([]int{64, 128, 64, 8}, 1)
-		ws := NewWorkspace(0)
-		defer ws.Close()
-		rng := rand.New(rand.NewSource(1))
-		x := NewMatrix(256, 64)
-		for i := range x.Data {
-			x.Data[i] = rng.Float64()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n.ForwardBatch(x, ws)
 		}
 	})
 }
@@ -85,7 +63,6 @@ func BenchmarkForwardBatch(b *testing.B) {
 func BenchmarkImitationBatch(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 1)
-		defer p.Close()
 		p.SetReference(true)
 		cands := make([][]float64, 16)
 		for c := range cands {
@@ -100,7 +77,6 @@ func BenchmarkImitationBatch(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 1)
-		defer p.Close()
 		x := p.Candidates(16)
 		for c := 0; c < 16; c++ {
 			fillFeatures(x.Row(c), 0, c)
@@ -113,7 +89,6 @@ func BenchmarkImitationBatch(b *testing.B) {
 	})
 	b.Run("minibatch16", func(b *testing.B) {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 1)
-		defer p.Close()
 		x := p.Candidates(16)
 		for c := 0; c < 16; c++ {
 			fillFeatures(x.Row(c), 0, c)

@@ -6,72 +6,19 @@ package nn
 // (Matrix.MulVec / Matrix.MulVecT / Net.Backprop) does — ascending
 // input index, ascending batch row. Register blocking happens only
 // across independent accumulators (different batch rows or different
-// output neurons), never inside one reduction, and parallel sharding
-// hands whole output rows to workers. Batched results are therefore
-// bit-identical to the per-sample path, for any worker count.
-
-// minParallelMacs is the multiply-accumulate count below which a kernel
-// runs inline: waking the pool costs a few microseconds, which only
-// amortises over larger GEMMs. MLF-RL's per-decision matrices
-// (≤16 candidates × a 18→32→16→1 net) always stay inline; minibatch
-// training and larger nets cross the threshold.
-const minParallelMacs = 1 << 16
-
-// gemmRowBlock is the row-shard granularity handed to pool workers.
-const gemmRowBlock = 32
-
-// mulABT computes dst = a·bᵀ, adds bias to every row when non-nil, and
-// applies ReLU when relu is set: the fused forward step of one dense
-// layer, with b in the transposed (output-major) weight layout so both
-// operands stream row-major. dst must not alias a or b.
-func mulABT(dst, a, b *Matrix, bias []float64, relu bool, pool *Pool) {
-	m, k, n := a.Rows, a.Cols, b.Rows
-	if b.Cols != k || dst.Rows != m || dst.Cols != n {
-		panic("nn: mulABT shape mismatch")
-	}
-	if pool.Workers() > 1 && m > gemmRowBlock && m*k*n >= minParallelMacs {
-		nb := (m + gemmRowBlock - 1) / gemmRowBlock
-		pool.Run(nb, func(blk int) {
-			r0 := blk * gemmRowBlock
-			r1 := r0 + gemmRowBlock
-			if r1 > m {
-				r1 = m
-			}
-			mulABTRows(dst, a, b, bias, relu, r0, r1)
-		})
-		return
-	}
-	mulABTRows(dst, a, b, bias, relu, 0, m)
-}
+// output neurons), never inside one reduction, so batched results are
+// bit-identical to the per-sample path.
 
 // mulAB computes dst = a·b (a: m×p, b: p×n) in the row-axpy form of
 // MulVecT: for each dst row, terms accumulate over i ascending with the
 // products formed as b[i][j]·a[r][i] — the backward delta propagation
 // delta·W. dst must not alias a or b.
-func mulAB(dst, a, b *Matrix, pool *Pool) {
+func mulAB(dst, a, b *Matrix) {
 	m, p, n := a.Rows, a.Cols, b.Cols
 	if b.Rows != p || dst.Rows != m || dst.Cols != n {
 		panic("nn: mulAB shape mismatch")
 	}
-	if pool.Workers() > 1 && m > gemmRowBlock && m*p*n >= minParallelMacs {
-		nb := (m + gemmRowBlock - 1) / gemmRowBlock
-		pool.Run(nb, func(blk int) {
-			r0 := blk * gemmRowBlock
-			r1 := r0 + gemmRowBlock
-			if r1 > m {
-				r1 = m
-			}
-			mulABRows(dst, a, b, r0, r1)
-		})
-		return
-	}
-	mulABRows(dst, a, b, 0, m)
-}
-
-// mulABRows is the mulAB kernel for dst rows [r0, r1).
-func mulABRows(dst, a, b *Matrix, r0, r1 int) {
-	p := a.Cols
-	for r := r0; r < r1; r++ {
+	for r := 0; r < m; r++ {
 		arow, drow := a.Row(r), dst.Row(r)
 		for j := range drow {
 			drow[j] = 0
@@ -87,40 +34,17 @@ func mulABRows(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
-// gradRowBlock is the output-neuron shard granularity for accumGrad.
-const gradRowBlock = 8
-
 // accumGrad accumulates the batch's weight and bias gradients:
 // dw[i][j] += Σ_r delta[r][i]·x[r][j] and db[i] += Σ_r delta[r][i],
 // with terms consumed in ascending batch-row order and zero deltas
 // skipped — the exact accumulation sequence of the per-sample
-// Net.Backprop loop. Sharding is over output neurons i, so each dw row
-// and db entry is owned by one worker and the result is independent of
-// the worker count.
-func accumGrad(dw *Matrix, db []float64, delta, x *Matrix, pool *Pool) {
+// Net.Backprop loop.
+func accumGrad(dw *Matrix, db []float64, delta, x *Matrix) {
 	m, out, in := delta.Rows, delta.Cols, x.Cols
 	if x.Rows != m || dw.Rows != out || dw.Cols != in || len(db) != out {
 		panic("nn: accumGrad shape mismatch")
 	}
-	if pool.Workers() > 1 && out > gradRowBlock && m*out*in >= minParallelMacs {
-		nb := (out + gradRowBlock - 1) / gradRowBlock
-		pool.Run(nb, func(blk int) {
-			i0 := blk * gradRowBlock
-			i1 := i0 + gradRowBlock
-			if i1 > out {
-				i1 = out
-			}
-			accumGradRows(dw, db, delta, x, i0, i1)
-		})
-		return
-	}
-	accumGradRows(dw, db, delta, x, 0, out)
-}
-
-// accumGradRows is the accumGrad kernel for output neurons [i0, i1).
-func accumGradRows(dw *Matrix, db []float64, delta, x *Matrix, i0, i1 int) {
-	m, out := delta.Rows, delta.Cols
-	for i := i0; i < i1; i++ {
+	for i := 0; i < out; i++ {
 		dwrow := dw.Row(i)
 		dbv := db[i]
 		for r := 0; r < m; r++ {

@@ -1,17 +1,24 @@
 package nn
 
-// mulABTRows is the mulABT kernel for dst rows [r0, r1). The micro-
-// kernel is 4 batch rows × 2 output neurons: eight independent
+// mulABT computes dst = a·bᵀ, adds bias to every row when non-nil, and
+// applies ReLU when relu is set: the fused forward step of one dense
+// layer, with b in the transposed (output-major) weight layout so both
+// operands stream row-major. dst must not alias a or b.
+//
+// The micro-kernel is 4 batch rows × 2 output neurons: eight independent
 // accumulator chains hide FP-add latency while every input load is
 // shared by two neurons and every weight load by four rows — and with
 // only six live base pointers nothing spills to stack. Each of the
 // eight sums still accumulates in pure ascending-j order, exactly like
 // the per-sample MulVec, so register blocking never reorders a
 // reduction.
-func mulABTRows(dst, a, b *Matrix, bias []float64, relu bool, r0, r1 int) {
-	n := b.Rows
-	r := r0
-	for ; r+4 <= r1; r += 4 {
+func mulABT(dst, a, b *Matrix, bias []float64, relu bool) {
+	m, n := a.Rows, b.Rows
+	if b.Cols != a.Cols || dst.Rows != m || dst.Cols != n {
+		panic("nn: mulABT shape mismatch")
+	}
+	r := 0
+	for ; r+4 <= m; r += 4 {
 		a0, a1, a2, a3 := a.Row(r), a.Row(r+1), a.Row(r+2), a.Row(r+3)
 		d0, d1, d2, d3 := dst.Row(r), dst.Row(r+1), dst.Row(r+2), dst.Row(r+3)
 		o := 0
@@ -112,7 +119,7 @@ func mulABTRows(dst, a, b *Matrix, bias []float64, relu bool, r0, r1 int) {
 			d0[o], d1[o], d2[o], d3[o] = s0, s1, s2, s3
 		}
 	}
-	for ; r < r1; r++ {
+	for ; r < m; r++ {
 		arow, drow := a.Row(r), dst.Row(r)
 		for o := 0; o < n; o++ {
 			brow := b.Row(o)

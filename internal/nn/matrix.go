@@ -5,10 +5,10 @@
 // is built here on the standard library alone.
 //
 // Determinism: weight initialisation and sampling use caller-seeded
-// sources only, and the parallel batched engine partitions work so each
-// output element is produced by exactly one worker with a fixed
-// summation order — results are bit-identical for any worker count. The
-// package is enrolled in the lint DeterministicPaths registry (mapiter,
+// sources only, everything runs on the caller's goroutine, and the
+// batched engine produces each output element with one accumulator in
+// the per-sample summation order, so batched and per-sample results are
+// bit-identical. The package is enrolled in the lint DeterministicPaths registry (mapiter,
 // noclock, sharedcapture), plus the repo-wide epochguard, floatcmp and
 // pkgdoc checks.
 package nn

@@ -72,7 +72,7 @@ func (n *Net) Forward(x []float64) []float64 {
 // returned batch×outputSize matrix is workspace scratch, valid until
 // the next ForwardBatch on ws. Row r of the result is bit-identical to
 // Forward(x.Row(r)): the batched kernels keep every dot product's
-// accumulation order, for any worker count.
+// accumulation order.
 func (n *Net) ForwardBatch(x *Matrix, ws *Workspace) *Matrix {
 	if x.Cols != n.InputSize() {
 		panic(fmt.Sprintf("nn: ForwardBatch input size %d, want %d", x.Cols, n.InputSize()))
@@ -80,7 +80,7 @@ func (n *Net) ForwardBatch(x *Matrix, ws *Workspace) *Matrix {
 	ws.ensureBatch(n, x.Rows)
 	ws.acts[0] = x
 	for l := range n.W {
-		mulABT(ws.acts[l+1], ws.acts[l], n.W[l], n.B[l], l < len(n.W)-1, ws.pool)
+		mulABT(ws.acts[l+1], ws.acts[l], n.W[l], n.B[l], l < len(n.W)-1)
 	}
 	return ws.acts[len(n.W)]
 }
@@ -90,7 +90,7 @@ func (n *Net) ForwardBatch(x *Matrix, ws *Workspace) *Matrix {
 // where dOut[r] is the gradient w.r.t. the output logits of batch row
 // r. The accumulated gradients are bit-identical to calling Backprop
 // per row in ascending order (the gradient w.r.t. the inputs is not
-// computed — no caller uses it), again for any worker count.
+// computed — no caller uses it).
 func (n *Net) BackpropBatch(dOut *Matrix, ws *Workspace, g *Grads) {
 	last := len(n.W) - 1
 	m := dOut.Rows
@@ -114,9 +114,9 @@ func (n *Net) BackpropBatch(dOut *Matrix, ws *Workspace, g *Grads) {
 				}
 			}
 		}
-		accumGrad(g.DW[l], g.DB[l], delta, ws.acts[l], ws.pool)
+		accumGrad(g.DW[l], g.DB[l], delta, ws.acts[l])
 		if l > 0 {
-			mulAB(ws.deltas[l-1], delta, n.W[l], ws.pool)
+			mulAB(ws.deltas[l-1], delta, n.W[l])
 			delta = ws.deltas[l-1]
 		}
 	}

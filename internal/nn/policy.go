@@ -16,9 +16,9 @@ import (
 // candidates of a decision are one candidates×features matrix pushed
 // through one fused GEMM per layer against the policy's Workspace, so a
 // steady-state decision allocates nothing. The engine is bit-identical
-// to the per-sample reference path (Forward/Backprop per candidate) for
-// any worker count; SetReference flips back to the reference
-// implementation so tests can prove it.
+// to the per-sample reference path (Forward/Backprop per candidate);
+// SetReference flips back to the reference implementation so tests can
+// prove it.
 type Policy struct {
 	Net *Net
 	Opt *Adam
@@ -41,7 +41,7 @@ type Policy struct {
 }
 
 // NewPolicy builds a scoring MLP inputSize → hidden... → 1 and an Adam
-// optimiser. The engine starts single-threaded; SetWorkers widens it.
+// optimiser.
 func NewPolicy(inputSize int, hidden []int, lr float64, seed int64) *Policy {
 	sizes := append([]int{inputSize}, hidden...)
 	sizes = append(sizes, 1)
@@ -54,20 +54,9 @@ func NewPolicy(inputSize int, hidden []int, lr float64, seed int64) *Policy {
 		rng:          rand.New(src),
 		src:          src,
 		grads:        net.NewGrads(),
-		ws:           NewWorkspace(1),
+		ws:           new(Workspace),
 	}
 }
-
-// SetWorkers rebuilds the engine's worker pool with the given width
-// (0 = GOMAXPROCS). Results are bit-identical for every width; wider
-// pools only pay off for minibatch-scale GEMMs.
-func (p *Policy) SetWorkers(workers int) {
-	p.ws.Close()
-	p.ws = NewWorkspace(workers)
-}
-
-// Close releases the engine's worker pool (idempotent).
-func (p *Policy) Close() { p.ws.Close() }
 
 // SetReference toggles the per-sample reference implementation of
 // scoring and training. Test seam only: it exists so determinism tests

@@ -5,11 +5,10 @@ package nn
 // staging matrix, and the logit/probability scratch of the policy. All
 // buffers grow geometrically to the largest batch seen and are then
 // recycled, so steady-state ForwardBatch/BackpropBatch calls allocate
-// nothing. A Workspace is bound to one goroutine at a time; the only
-// internal concurrency is the worker pool driven from inside a call.
+// nothing. A Workspace is bound to one goroutine at a time. The zero
+// value is ready to use.
 type Workspace struct {
-	pool *Pool
-	net  *Net // the net the layer buffers are shaped for
+	net *Net // the net the layer buffers are shaped for
 
 	acts   []*Matrix // acts[0] aliases the input; acts[l+1] is batch×sizes[l+1]
 	deltas []*Matrix // deltas[l] is batch×sizes[l+1]
@@ -19,19 +18,6 @@ type Workspace struct {
 	probs []float64 // softmax scratch (Policy scoring)
 	dl    []float64 // dLoss/dLogit scratch (Policy training)
 	dlMat Matrix    // column-matrix header over dl
-}
-
-// NewWorkspace returns a workspace whose kernels fan out over at most
-// workers goroutines (0 = GOMAXPROCS). Worker goroutines are spawned
-// lazily and only engage above the kernels' size thresholds; results
-// are bit-identical for every worker count.
-func NewWorkspace(workers int) *Workspace {
-	return &Workspace{pool: NewPool(workers)}
-}
-
-// Close releases the worker pool (idempotent).
-func (ws *Workspace) Close() {
-	ws.pool.Close()
 }
 
 // ensureBatch shapes the layer buffers for net n and batch size m.

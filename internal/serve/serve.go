@@ -102,12 +102,10 @@ type Config struct {
 
 	// Simulation knobs, passed through to sim.Config (zero = that
 	// package's documented defaults).
-	TickSec        float64
-	HR, HS         float64
-	DemandWobble   float64
-	AdvanceWorkers int
-	FullRescan     bool
-	Failures       sim.FailureConfig
+	TickSec      float64
+	HR, HS       float64
+	DemandWobble float64
+	Failures     sim.FailureConfig
 
 	// Timescale is the clock bridge: simulated seconds advanced per
 	// wall-clock second. 0 (or negative) means as-fast-as-possible —
@@ -280,17 +278,15 @@ type futureCancel struct {
 // doc comment.
 func (c Config) simConfig(src trace.Source, s sched.Scheduler) sim.Config {
 	return sim.Config{
-		Cluster:        c.Cluster,
-		Source:         src,
-		Scheduler:      s,
-		TickSec:        c.TickSec,
-		HR:             c.HR,
-		HS:             c.HS,
-		DemandWobble:   c.DemandWobble,
-		MaxSimSec:      serveHorizon,
-		AdvanceWorkers: c.AdvanceWorkers,
-		FullRescan:     c.FullRescan,
-		Failures:       c.Failures,
+		Cluster:      c.Cluster,
+		Source:       src,
+		Scheduler:    s,
+		TickSec:      c.TickSec,
+		HR:           c.HR,
+		HS:           c.HS,
+		DemandWobble: c.DemandWobble,
+		MaxSimSec:    serveHorizon,
+		Failures:     c.Failures,
 	}
 }
 
@@ -317,7 +313,6 @@ func Oracle(cfg Config, records []trace.Record, cancels []CancelRecord) (*metric
 		// bit-identity argument names.
 		return siml.Run()
 	}
-	defer siml.Close()
 
 	// SimIndex is stream order; a cancel names its job by id.
 	byID := make(map[int64]int, len(records))
@@ -751,7 +746,6 @@ func (s *Server) do(fn func()) error {
 // clock when a timescale is set.
 func (s *Server) loop() {
 	defer close(s.loopDone)
-	defer s.sim.Close()
 	defer s.journal.Close()
 	for {
 		if !s.drainCalls() {

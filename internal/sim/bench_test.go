@@ -21,13 +21,12 @@ func (noopSched) Schedule(*sched.Context) {}
 // until arrivals are admitted and placed, then freezes the policy with
 // noopSched. The returned sim is mid-run: active jobs, warm caches, warm
 // scratch buffers.
-func steadySim(tb testing.TB, jobs int, workers int) *Simulator {
+func steadySim(tb testing.TB, jobs int) *Simulator {
 	tb.Helper()
 	s, err := New(Config{
-		Cluster:        testClusterCfg(),
-		Source:         smallSource(jobs, 17),
-		Scheduler:      fifoGang{},
-		AdvanceWorkers: workers,
+		Cluster:   testClusterCfg(),
+		Source:    smallSource(jobs, 17),
+		Scheduler: fifoGang{},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -51,25 +50,18 @@ func steadySim(tb testing.TB, jobs int, workers int) *Simulator {
 // (wobble + scheduling round + advance + overload count). The tiny dt
 // keeps the job population fixed so every iteration does the same work.
 func BenchmarkTick(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"pool4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := steadySim(b, 24, bc.workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.step(1e-6)
-			}
-		})
+	s := steadySim(b, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step(1e-6)
 	}
 }
 
 // BenchmarkIterationTime measures the per-job iteration-cost computation:
 // the epoch-cache hit path and the full recompute path.
 func BenchmarkIterationTime(b *testing.B) {
-	s := steadySim(b, 8, 1)
+	s := steadySim(b, 8)
 	var j *job.Job
 	for _, cand := range s.active {
 		if cand.SimSlot >= 0 && s.cache[cand.SimSlot].valid {
@@ -99,7 +91,7 @@ func BenchmarkIterationTime(b *testing.B) {
 // placed task (one placement lookup + in-place server/device update per
 // task).
 func BenchmarkWobbleDemands(b *testing.B) {
-	s := steadySim(b, 24, 1)
+	s := steadySim(b, 24)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -173,17 +165,13 @@ func BenchmarkScheduleRound(b *testing.B) {
 }
 
 // TestSteadyStateTickAllocs pins the tentpole property: a steady-state
-// tick performs zero heap allocations, serial and pooled alike.
+// tick performs zero heap allocations. The subtest keeps its name from
+// when a pooled variant ran beside it; the advance is serial only now.
 func TestSteadyStateTickAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"pool4", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := steadySim(t, 24, tc.workers)
-			if got := testing.AllocsPerRun(200, func() { s.step(1e-6) }); got != 0 {
-				t.Fatalf("steady-state tick allocates: %v allocs/tick", got)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		s := steadySim(t, 24)
+		if got := testing.AllocsPerRun(200, func() { s.step(1e-6) }); got != 0 {
+			t.Fatalf("steady-state tick allocates: %v allocs/tick", got)
+		}
+	})
 }

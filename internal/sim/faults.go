@@ -77,9 +77,8 @@ func (f FailureConfig) withDefaults() FailureConfig {
 }
 
 // injectFailures applies every failure/repair event due by the current
-// tick start. It runs serially before the scheduling round, so the
-// event order is identical for any AdvanceWorkers count: the parallel
-// phase of advance() only ever sees post-event cluster state.
+// tick start. It runs before the scheduling round, so advance() only
+// ever sees post-event cluster state.
 func (s *Simulator) injectFailures() {
 	for {
 		srv, down, _, ok := s.faults.Next(s.now)
@@ -217,8 +216,8 @@ func (s *Simulator) releaseParked() {
 }
 
 // checkpointJob advances j's durable checkpoint to the last multiple of
-// K at or below its progress. Called from the sharded merge phase of
-// advance() only when fault injection is enabled, so the disabled path
+// K at or below its progress. Called from advance() only when fault
+// injection is enabled, so the disabled path
 // never touches the field.
 func (s *Simulator) checkpointJob(j *job.Job) {
 	k := float64(s.cfg.Failures.CheckpointEveryIters)

@@ -13,18 +13,17 @@ import (
 // faultCfg is the shared base config for fault tests: a small cluster
 // under an aggressive failure process so every mechanism triggers
 // within a short run.
-func faultCfg(jobs int, seed int64, workers int) Config {
+func faultCfg(jobs int, seed int64) Config {
 	return Config{
-		Cluster:        testClusterCfg(),
-		Source:         smallSource(jobs, seed),
-		Scheduler:      fifoGang{},
-		AdvanceWorkers: workers,
-		Failures:       FailureConfig{MTTFSec: 2 * 3600, MTTRSec: 600, Seed: 9},
+		Cluster:   testClusterCfg(),
+		Source:    smallSource(jobs, seed),
+		Scheduler: fifoGang{},
+		Failures:  FailureConfig{MTTFSec: 2 * 3600, MTTRSec: 600, Seed: 9},
 	}
 }
 
 func TestFailureRunCompletes(t *testing.T) {
-	res := run(t, faultCfg(20, 42, 1))
+	res := run(t, faultCfg(20, 42))
 	c := res.Counters
 	if c.ServerFailures == 0 {
 		t.Fatal("no server failures injected with MTTF=2h")
@@ -61,28 +60,13 @@ func TestFailureDisabledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFailureDeterminismAcrossWorkers: the failure event sequence and
-// all resulting metrics are identical for serial and parallel advance.
-func TestFailureDeterminismAcrossWorkers(t *testing.T) {
-	a := run(t, faultCfg(25, 3, 1))
-	b := run(t, faultCfg(25, 3, 8))
-	a.Counters.SchedSeconds, b.Counters.SchedSeconds = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fault run diverges across AdvanceWorkers:\nserial   %+v\nparallel %+v", a, b)
-	}
-	if a.Counters.ServerFailures == 0 {
-		t.Fatal("determinism test vacuous: no failures occurred")
-	}
-}
-
 // TestCheckpointReplayBound: rolling back to the last checkpoint loses
 // at most K−1 completed iterations plus the in-flight fractional one.
 func TestCheckpointReplayBound(t *testing.T) {
-	s, err := New(faultCfg(10, 5, 1))
+	s, err := New(faultCfg(10, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.closePool()
 	k := float64(s.cfg.Failures.CheckpointEveryIters)
 	checked := 0
 	for i := 0; i < 5000 && (s.pending < s.total || len(s.active) > 0); i++ {
@@ -114,7 +98,7 @@ func TestCheckpointReplayBound(t *testing.T) {
 // headroom, jobs exceed MaxRetries and are Killed — and killed jobs
 // count in the metrics with their achieved state.
 func TestRetryBudgetKills(t *testing.T) {
-	cfg := faultCfg(12, 21, 1)
+	cfg := faultCfg(12, 21)
 	cfg.Failures = FailureConfig{MTTFSec: 900, MTTRSec: 7200, MaxRetries: 1, Seed: 4}
 	s, err := New(cfg)
 	if err != nil {
@@ -256,7 +240,7 @@ func (idleSched) Schedule(*sched.Context) {}
 // placement.
 func TestFailureTraceSchedulerIndependent(t *testing.T) {
 	mk := func(s sched.Scheduler) Config {
-		c := faultCfg(20, 42, 1)
+		c := faultCfg(20, 42)
 		c.Scheduler = s
 		c.MaxSimSec = 3000 // both runs truncate at the same horizon
 		c.Failures.MTTFSec = 1200
@@ -281,13 +265,12 @@ func TestFailureTraceSchedulerIndependent(t *testing.T) {
 // TestBackoffParksJobs: after a failure a job waits out its exponential
 // backoff — its tasks are neither placed nor queued until NextRetryAt.
 func TestBackoffParksJobs(t *testing.T) {
-	cfg := faultCfg(10, 17, 1)
+	cfg := faultCfg(10, 17)
 	cfg.Failures.RetryBackoffSec = 10 * cfg.TickSec
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.closePool()
 	sawParked := false
 	for i := 0; i < 5000 && (s.pending < s.total || len(s.active) > 0); i++ {
 		s.admitArrivals()

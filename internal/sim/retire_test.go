@@ -138,10 +138,9 @@ func TestTickAllocFreeWithCompletedBacklog(t *testing.T) {
 func backlogSim(tb testing.TB, total, live int) *Simulator {
 	tb.Helper()
 	s, err := New(Config{
-		Cluster:        testClusterCfg(),
-		Source:         smallSource(total, 23),
-		Scheduler:      fifoGang{},
-		AdvanceWorkers: 1,
+		Cluster:   testClusterCfg(),
+		Source:    smallSource(total, 23),
+		Scheduler: fifoGang{},
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -14,14 +14,13 @@
 // The per-tick hot path is allocation-free and incrementally cached (see
 // DESIGN.md "Performance"): iteration costs are memoised per job and
 // invalidated by server load epochs, all per-tick buffers are scratch
-// state reused across ticks, and the per-job cost computation inside a
-// tick runs on a worker pool. Results are bit-identical for any worker
-// count, including 1.
+// state reused across ticks. One goroutine owns all simulation state:
+// nothing in the package starts another.
 //
 // Fault injection (faults.go) is strictly opt-in: with the zero
 // FailureConfig the simulator is bit-identical to a build without the
-// subsystem, and when enabled all failure events are applied serially at
-// tick start so the parallel-advance guarantee is untouched. The package
+// subsystem, and when enabled all failure events are applied at tick
+// start, before the scheduling round. The package
 // is enrolled in the lint DeterministicPaths registry (mapiter, noclock,
 // sharedcapture), plus the repo-wide epochguard, floatcmp and pkgdoc
 // checks; the single deliberate wall-clock read (scheduler-overhead
@@ -31,9 +30,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mlfs/internal/cluster"
@@ -70,15 +66,6 @@ type Config struct {
 	// 30 days). Jobs still unfinished at the horizon are force-finished
 	// and counted as truncated.
 	MaxSimSec float64
-
-	// AdvanceWorkers is the number of goroutines computing per-job
-	// iteration costs and merging fixed job-index shards within a tick
-	// (0 = GOMAXPROCS, 1 = fully serial). Both phases read frozen
-	// cluster state; cross-job effects (finishes, bandwidth totals) are
-	// deferred to a serial reduction whose order is a pure function of
-	// the active-job count, so results are bit-identical for every
-	// worker count.
-	AdvanceWorkers int
 
 	// DenseTicks disables the sparse-core hot-set optimisations —
 	// per-job caches are fixed by SimIndex instead of recycled slots,
@@ -195,50 +182,21 @@ type jobIterCache struct {
 	place []*cluster.Placement
 }
 
-// advState is the per-job result of the (possibly parallel) preparation
-// phase of a tick.
-type advState struct {
-	fully bool
-}
-
-// finishRec is one job that completed during the merge phase, finalised
-// serially (in ascending job order) after every shard has merged.
+// finishRec is one job that completed during advance, finalised (in
+// ascending job order) after every active job has advanced.
 type finishRec struct {
 	j  *job.Job
 	at float64
 }
 
-// minParallelAdvance is the active-job count below which the preparation
-// phase runs inline: fan-out overhead would exceed the work.
-const minParallelAdvance = 16
-
-// advShardSize is the fixed job-index range one merge shard covers. The
-// shard count is a pure function of the active-job count — never of the
-// worker count — which is what makes the sharded merge bit-identical
-// for any parallelism, including fully serial.
+// advShardSize is the fixed job-index range whose bandwidth advance sums
+// into one partial. The partials fold in a balanced tree (treeCombine),
+// so the float summation order is a pure function of the active-job
+// count.
 const advShardSize = 64
 
-// Pool phases: the parked advance workers run either the per-job cost
-// preparation or the per-shard merge, selected by Simulator.poolPhase.
-const (
-	poolPrepare = iota
-	poolMerge
-)
-
-// advancePool is a persistent worker pool that computes per-job
-// iteration costs against frozen cluster state. It exists so the
-// steady-state tick makes no allocations: workers are spawned once and
-// parked on a channel between ticks.
-type advancePool struct {
-	kick chan struct{}
-	wg   sync.WaitGroup
-	next atomic.Int64
-	n    int
-}
-
-// Simulator executes one run. The simulation itself is single-threaded;
-// within a tick, read-only per-job cost computation fans out over
-// AdvanceWorkers goroutines. Create a fresh Simulator per run.
+// Simulator executes one run on the calling goroutine. Create a fresh
+// Simulator per run.
 type Simulator struct {
 	cfg     Config
 	cl      *cluster.Cluster
@@ -303,7 +261,7 @@ type Simulator struct {
 
 	// Hot-path state: one scheduling context reused for the whole run,
 	// per-job iteration-cost caches invalidated by server load epochs,
-	// scratch buffers recycled across ticks, and the advance worker pool.
+	// and scratch buffers recycled across ticks.
 	// cache is indexed by job.SimSlot: in dense mode every job owns the
 	// slot equal to its SimIndex from admission on; in sparse mode slots
 	// are assigned at admission and recycled through freeSlots at
@@ -312,25 +270,10 @@ type Simulator struct {
 	ctx           *sched.Context //mlfs:derived repopulated from the restored jobs at the next Reset
 	cache         []jobIterCache //mlfs:derived epoch-keyed cache, re-sized and missed after restore
 	freeSlots     []int          //mlfs:derived rebuilt by restore's slot reassignment
-	adv           []advState     //mlfs:derived per-tick scratch, indexed like active
 	activeScratch []*job.Job     //mlfs:derived per-tick scratch
 	parkedScratch []*job.Job     //mlfs:derived per-tick scratch (also reused by the encoder's park scan)
-	workers       int
-	pool          *advancePool //mlfs:derived worker pool, rebuilt by New
-
-	// Sharded-merge scratch (see advance): survivors and finish
-	// candidates land in fixed per-shard regions of flat arrays,
-	// bandwidth in per-shard accumulators, all folded serially after the
-	// shards complete. advDT/numShards/poolPhase parameterise the tick
-	// being merged for the parked workers.
-	survScratch []*job.Job  //mlfs:derived per-tick shard scratch
-	finScratch  []finishRec //mlfs:derived per-tick shard scratch
-	survCount   []int       //mlfs:derived per-shard survivor counts
-	finCount    []int       //mlfs:derived per-shard finish counts
-	shardBW     []float64   //mlfs:derived per-shard bandwidth accumulators
-	advDT       float64     //mlfs:derived dt of the tick being merged
-	numShards   int         //mlfs:derived shard count of the tick being merged
-	poolPhase   int         //mlfs:derived pool phase selector, set before each fan-out
+	finScratch    []finishRec    //mlfs:derived per-tick scratch: advance's deferred finishes
+	bwPartials    []float64      //mlfs:derived per-tick scratch: advance's bandwidth partials
 }
 
 // New assembles a simulator. It only rewinds the source; jobs are
@@ -354,10 +297,6 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: scheduler %q does not implement sched.Snapshotter", cfg.Scheduler.Name())
 		}
 	}
-	workers := cfg.AdvanceWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	cl := cluster.New(cfg.Cluster)
 	cfg.Source.Reset()
 	s := &Simulator{
@@ -366,7 +305,6 @@ func New(cfg Config) (*Simulator, error) {
 		sched:   cfg.Scheduler,
 		total:   cfg.Source.Len(),
 		waiting: make(map[job.TaskID]*job.Task),
-		workers: workers,
 		// One context serves every round; Reset re-primes it per tick.
 		// Its task index starts empty: admission adds each materialised
 		// job and, outside dense mode, retirement removes it.
@@ -389,7 +327,6 @@ func New(cfg Config) (*Simulator, error) {
 // directly (the online service) executes the exact same code path —
 // the bit-identity argument never forks.
 func (s *Simulator) Run() (*metrics.Result, error) {
-	defer s.Close()
 	for {
 		progressed, err := s.RunStep()
 		if err != nil {
@@ -457,24 +394,16 @@ func (s *Simulator) Finish() *metrics.Result {
 	return metrics.ComputeFromTallies(s.sched.Name(), s.tallies, s.counters)
 }
 
-// Close releases the advance-worker pool and any resources the
-// scheduler owns (MLF-RL's neural-engine pool). Idempotent — every
-// Close in the chain latches; Run calls it itself, hosts driving
-// RunStep call it when the run ends.
-func (s *Simulator) Close() {
-	s.closePool()
-	if c, ok := s.sched.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
+// Close does nothing: a Simulator holds no goroutines, files or other
+// resources beyond its memory. It remains so that hosts which end a run
+// with Close keep compiling.
+func (s *Simulator) Close() {}
 
 // step executes one scheduler tick: failure/repair events, then demand
 // wobble, a scheduling round, job advancement and overload accounting.
 // It is the steady-state hot path and performs no heap allocations of
 // its own when fault injection is disabled. Failure events are applied
-// serially at tick start — before the parallel advance phase ever runs
-// — so the event order and its effects are identical for every
-// AdvanceWorkers count.
+// at tick start, before the scheduling round and job advancement.
 func (s *Simulator) step(dt float64) {
 	if s.faults != nil {
 		killed := s.counters.JobsKilled
@@ -562,8 +491,7 @@ func (s *Simulator) admitArrivals() error {
 		s.ctx.NotePending(j)
 		s.ctx.MarkDirty(j)
 		s.ctx.AddJob(j)
-		// Slots are handed out here, serially in admission order, so the
-		// parallel prepare phase never touches the free list.
+		// Slots are handed out here, in admission order.
 		s.assignSlot(j)
 		s.active = append(s.active, j)
 	}
@@ -747,9 +675,7 @@ func (s *Simulator) cacheFresh(c *jobIterCache) bool {
 
 // computeIterCost fills c with the job's iteration cost under the current
 // cluster state, reusing c's buffers. It returns false (and leaves c
-// invalid) when any task is unplaced. It only reads cluster state, so it
-// is safe to run for distinct jobs from concurrent workers while the
-// cluster is quiescent.
+// invalid) when any task is unplaced. It only reads cluster state.
 func (s *Simulator) computeIterCost(j *job.Job, c *jobIterCache) bool {
 	c.valid = false
 	c.place = c.place[:0]
@@ -829,8 +755,8 @@ func (s *Simulator) computeIterCost(j *job.Job, c *jobIterCache) bool {
 // slowdown is the overload inflation factor for a placed task: the worst
 // of the server's GPU/CPU/memory utilisation and its device's
 // utilisation, floored at 1. It computes utilisation from raw
-// used/capacity instead of the server's memoised accessor so concurrent
-// workers never write shared state.
+// used/capacity instead of the server's memoised accessor, so reading it
+// never writes cluster state.
 func (s *Simulator) slowdown(p *cluster.Placement) float64 {
 	srv := s.cl.Server(p.Server)
 	u := srv.Used().Div(srv.Capacity())
@@ -858,129 +784,45 @@ func (s *Simulator) effBW(server int) float64 {
 	return s.cfg.FlowMBps / math.Max(1, u)
 }
 
-// advance moves training forward by dt seconds.
+// advance moves training forward by dt seconds in one ascending pass
+// over the active jobs.
 //
-// It runs in two parallel phases plus a serial reduction. The
-// preparation phase computes each active job's iteration cost against
-// the cluster state frozen at tick start; jobs are independent there, so
-// it fans out over the worker pool. The merge phase partitions the
-// active list into fixed job-index shards of advShardSize and walks each
-// shard with a single ascending-order accumulator (the same contract as
-// the NN engine's accumGrad): progress, waiting time, deadline
-// snapshots, predictor observations and checkpoints are job-local;
-// survivors and finish candidates land in per-shard regions of flat
-// scratch arrays; cross-server bandwidth folds into a per-shard
-// accumulator. The serial reduction then combines the shard bandwidth
-// sums in a balanced binary tree, concatenates the survivor regions in
-// shard order (= ascending job order), and applies the deferred finishes
-// in the same order.
-//
-// Every job therefore observes the cluster exactly as it stood at tick
-// start — a finish no longer frees resources mid-merge for later jobs of
-// the same tick; the freed capacity becomes visible at the next round,
-// one tick later, like any other end-of-tick event. The shard count is a
-// pure function of the active-job count, so results are bit-identical
-// for every worker count, including fully serial; the dense oracle runs
-// the identical sharded merge.
+// Every job observes the cluster exactly as it stood at tick start: the
+// pass mutates only per-job fields (progress, waiting time, deadline
+// snapshots, predictor observations, checkpoints), and the finishes —
+// which free cluster resources — are deferred until every job has
+// advanced, then applied in ascending job order. The freed capacity
+// becomes visible at the next round, one tick later, like any other
+// end-of-tick event. Cross-server bandwidth is summed into one partial
+// per advShardSize jobs and the partials fold in a balanced tree, so the
+// float summation order depends only on the active-job count; the dense
+// oracle runs the identical pass.
 func (s *Simulator) advance(dt float64) {
-	n := len(s.active)
-	if cap(s.adv) < n {
-		s.adv = make([]advState, n)
-	}
-	s.adv = s.adv[:n]
-	parallel := s.workers > 1 && n >= minParallelAdvance
-	if parallel {
-		s.runPool(poolPrepare)
-	} else {
-		for i := range s.active {
-			s.prepare(i)
-		}
-	}
-
-	s.advDT = dt
-	s.numShards = (n + advShardSize - 1) / advShardSize
-	s.growMergeScratch(n)
-	if parallel {
-		s.runPool(poolMerge)
-	} else {
-		for k := 0; k < s.numShards; k++ {
-			s.mergeShard(k)
-		}
-	}
-
-	// Serial reduction. The tree fold's shape depends only on the shard
-	// count — itself a pure function of n — so the float summation order
-	// is fixed for every worker count.
-	s.counters.BandwidthMB += treeCombine(s.shardBW[:s.numShards])
 	still := s.activeScratch[:0]
-	for k := 0; k < s.numShards; k++ {
-		lo := k * advShardSize
-		still = append(still, s.survScratch[lo:lo+s.survCount[k]]...)
-	}
-	for k := 0; k < s.numShards; k++ {
-		lo := k * advShardSize
-		for _, f := range s.finScratch[lo : lo+s.finCount[k]] {
-			s.finishJob(f.j, f.at, job.Finished)
-		}
-	}
-	s.activeScratch = s.active[:0]
-	s.active = still
-}
-
-// growMergeScratch sizes the sharded-merge scratch for n active jobs
-// (allocation-free once the high-water mark is reached).
-func (s *Simulator) growMergeScratch(n int) {
-	if cap(s.survScratch) < n {
-		s.survScratch = make([]*job.Job, n)
-		s.finScratch = make([]finishRec, n)
-	}
-	s.survScratch = s.survScratch[:n]
-	s.finScratch = s.finScratch[:n]
-	if cap(s.survCount) < s.numShards {
-		s.survCount = make([]int, s.numShards)
-		s.finCount = make([]int, s.numShards)
-		s.shardBW = make([]float64, s.numShards)
-	}
-	s.survCount = s.survCount[:s.numShards]
-	s.finCount = s.finCount[:s.numShards]
-	s.shardBW = s.shardBW[:s.numShards]
-}
-
-// mergeShard merges the active jobs of shard k: index range
-// [k·advShardSize, min((k+1)·advShardSize, n)). It reads only the
-// tick-start frozen cluster state and the costs prepared in phase one,
-// mutates only per-job fields and the shard's own scratch regions, and
-// defers every cross-job effect (finishes, the bandwidth counter) to the
-// serial reduction — which is what makes concurrent shard execution
-// race-free and order-independent.
-func (s *Simulator) mergeShard(k int) {
-	dt := s.advDT
-	lo := k * advShardSize
-	hi := lo + advShardSize
-	if hi > len(s.active) {
-		hi = len(s.active)
-	}
+	fin := s.finScratch[:0]
+	partials := s.bwPartials[:0]
 	var bw float64
-	ns, nf := 0, 0
-	for i := lo; i < hi; i++ {
-		j := s.active[i]
+	for i, j := range s.active {
+		if i > 0 && i%advShardSize == 0 {
+			partials = append(partials, bw)
+			bw = 0
+		}
 		if j.Done() {
 			continue
 		}
-		if !s.adv[i].fully {
+		if !s.fullyPlaced(j) {
 			j.WaitingTime += dt
 			s.snapDeadline(j, dt, 0)
-			s.survScratch[lo+ns] = j
-			ns++
+			still = append(still, j)
 			continue
 		}
 		if j.State == job.Pending {
 			j.State = job.Running
 			j.EverPlaced = true
 		}
-		// fully=true means prepare resolved the cache entry against the
-		// frozen cluster this tick; nothing has mutated since, so the
-		// entry is valid by construction (and SimSlot is assigned).
+		// fullyPlaced resolved the cache entry against the tick-start
+		// cluster, and nothing has mutated the cluster since, so the
+		// entry is valid (and SimSlot is assigned).
 		c := &s.cache[j.SimSlot]
 		iterSec, crossMB := c.iterSec, c.crossMB
 		if f := s.stragglerFactor(j, &bw); f > 1 {
@@ -1008,21 +850,26 @@ func (s *Simulator) mergeShard(k int) {
 			if finishAt > s.now+dt {
 				finishAt = s.now + dt
 			}
-			s.finScratch[lo+nf] = finishRec{j, finishAt}
-			nf++
+			fin = append(fin, finishRec{j, finishAt})
 			continue
 		}
-		s.survScratch[lo+ns] = j
-		ns++
+		still = append(still, j)
 	}
-	s.survCount[k] = ns
-	s.finCount[k] = nf
-	s.shardBW[k] = bw
+	if len(s.active) > 0 {
+		partials = append(partials, bw)
+	}
+	s.counters.BandwidthMB += treeCombine(partials)
+	for _, f := range fin {
+		s.finishJob(f.j, f.at, job.Finished)
+	}
+	s.bwPartials, s.finScratch = partials, fin[:0]
+	s.activeScratch = s.active[:0]
+	s.active = still
 }
 
-// treeCombine folds per-shard float accumulators with a balanced binary
-// midpoint-split reduction. The association order is a pure function of
-// the slice length, never of scheduling or worker count.
+// treeCombine folds float partials with a balanced binary midpoint-split
+// reduction. The association order is a pure function of the slice
+// length.
 func treeCombine(x []float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -1034,10 +881,9 @@ func treeCombine(x []float64) float64 {
 	return treeCombine(x[:mid]) + treeCombine(x[mid:])
 }
 
-// prepare computes the phase-one state for active job i: whether it is
-// fully placed and, if so, its iteration cost (via the cache).
-func (s *Simulator) prepare(i int) {
-	j := s.active[i]
+// fullyPlaced reports whether every task of j is placed and, if so,
+// resolves its iteration cost in the cache against the current cluster.
+func (s *Simulator) fullyPlaced(j *job.Job) bool {
 	if !s.cfg.DenseTicks && j.PlacedTasks != len(j.Tasks) {
 		// Sparse mode: not fully placed, so no progress this tick — skip
 		// the per-task Lookup walk computeIterCost would spend proving
@@ -1046,80 +892,21 @@ func (s *Simulator) prepare(i int) {
 		// evicted server's epoch and epochs only increase, so the entry
 		// can never pass the freshness check again before being
 		// recomputed on the job's next full placement.
-		s.adv[i].fully = false
-		return
+		return false
 	}
 	c := &s.cache[j.SimSlot]
 	if c.valid && s.cacheFresh(c) {
-		s.adv[i].fully = true
-		return
+		return true
 	}
-	s.adv[i].fully = s.computeIterCost(j, c)
-}
-
-// ensurePool lazily spawns the advance workers. Workers park on the kick
-// channel between ticks and pull job indices off a shared atomic cursor,
-// so a tick's fan-out allocates nothing.
-func (s *Simulator) ensurePool() {
-	if s.pool != nil {
-		return
-	}
-	p := &advancePool{kick: make(chan struct{}, s.workers), n: s.workers}
-	s.pool = p
-	for w := 0; w < p.n; w++ {
-		go func() {
-			for range p.kick {
-				if s.poolPhase == poolPrepare {
-					for {
-						i := int(p.next.Add(1)) - 1
-						if i >= len(s.active) {
-							break
-						}
-						s.prepare(i)
-					}
-				} else {
-					for {
-						k := int(p.next.Add(1)) - 1
-						if k >= s.numShards {
-							break
-						}
-						s.mergeShard(k)
-					}
-				}
-				p.wg.Done()
-			}
-		}()
-	}
-}
-
-// runPool fans one phase (prepare or merge) out over the parked
-// workers. poolPhase and the phase's inputs are written before the kick
-// sends, which happen-before each worker's receive.
-func (s *Simulator) runPool(phase int) {
-	s.ensurePool()
-	s.poolPhase = phase
-	s.pool.next.Store(0)
-	s.pool.wg.Add(s.pool.n)
-	for i := 0; i < s.pool.n; i++ {
-		s.pool.kick <- struct{}{}
-	}
-	s.pool.wg.Wait()
-}
-
-// closePool releases the advance workers (idempotent).
-func (s *Simulator) closePool() {
-	if s.pool != nil {
-		close(s.pool.kick)
-		s.pool = nil
-	}
+	return s.computeIterCost(j, c)
 }
 
 // stragglerFactor returns this tick's straggler slowdown for job j.
 // Deterministic: the decision hashes (job, tick index), so runs reproduce
 // exactly. With replication enabled the first-finisher replica bounds the
 // slowdown at 10% of the injected penalty, and the incident pays one
-// task-state transfer — charged to bw, the calling shard's bandwidth
-// accumulator, at the job's position in shard order.
+// task-state transfer — charged to bw, advance's bandwidth partial, at
+// the job's position in job order.
 func (s *Simulator) stragglerFactor(j *job.Job, bw *float64) float64 {
 	if s.cfg.StragglerProb <= 0 {
 		return 1

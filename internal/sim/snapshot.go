@@ -27,7 +27,7 @@ import (
 // (deterministically); the iteration-cost caches, cache-slot
 // assignments, retry-release heap, server utilisation memos and
 // Predictor fit memos are dropped and recomputed to the exact same
-// float64s; scratch buffers and worker pools are rebuilt on use. Epoch values after restore differ from the
+// float64s; scratch buffers are rebuilt on use. Epoch values after restore differ from the
 // original run — they only key caches, which start invalid.
 //
 // Per-job state is encoded as the retirement tallies plus the live set
@@ -120,9 +120,8 @@ func (s *Simulator) livingParked() []*job.Job {
 // Restore overlays a Snapshot payload onto a freshly constructed,
 // never-stepped simulator whose Config matches the snapshotted run
 // (same source, cluster, scheduler and simulation parameters —
-// AdvanceWorkers, DenseTicks and snapshot/stop settings are free to
-// differ; results are bit-identical for any worker count and either
-// tick mode). On any error — ErrMismatch for a snapshot of a different
+// DenseTicks, FullRescan and snapshot/stop settings are free to differ;
+// results are bit-identical in either tick mode). On any error — ErrMismatch for a snapshot of a different
 // run, ErrCorrupt for undecodable bytes — the simulator is left
 // partially overwritten and must be discarded.
 func (s *Simulator) Restore(payload []byte) error {
@@ -196,9 +195,9 @@ func (s *Simulator) Restore(payload []byte) error {
 	}
 	// Rebuild the derived structures the snapshot deliberately omits:
 	// cache slots for the restored active set (fixed in dense mode;
-	// otherwise assigned serially here so the first parallel prepare
-	// never touches the free list) and, in sparse mode, the retry-release
-	// heap, one entry per parked job at its exact release time.
+	// otherwise assigned here in active order) and, in sparse mode, the
+	// retry-release heap, one entry per parked job at its exact release
+	// time.
 	for _, j := range s.active {
 		s.assignSlot(j)
 	}

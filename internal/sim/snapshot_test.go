@@ -49,16 +49,13 @@ func TestRestoreRejectsBadTallies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := mk()
-		defer fresh.Close()
-		return fresh.Restore(payload)
+		return mk().Restore(payload)
 	}
 
 	s := midRun()
 	if err := restore(s); err != nil {
 		t.Fatalf("control: unedited snapshot does not restore: %v", err)
 	}
-	s.Close()
 
 	for _, tc := range []struct {
 		name string
@@ -75,7 +72,6 @@ func TestRestoreRejectsBadTallies(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := midRun()
-			defer s.Close()
 			tc.edit(s)
 			if err := restore(s); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("Restore = %v, want ErrCorrupt", err)
@@ -119,16 +115,13 @@ func TestRestoreRejectsImpossibleCurveSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := mk()
-		defer fresh.Close()
-		return fresh.Restore(payload)
+		return mk().Restore(payload)
 	}
 
 	s, _ := observed()
 	if err := restore(s); err != nil {
 		t.Fatalf("control: unedited snapshot does not restore: %v", err)
 	}
-	s.Close()
 
 	for _, tc := range []struct {
 		name string
@@ -142,7 +135,6 @@ func TestRestoreRejectsImpossibleCurveSeries(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, j := observed()
-			defer s.Close()
 			iters, accs := j.Predictor.Observations()
 			iters, accs = append([]int(nil), iters...), append([]float64(nil), accs...)
 			tc.edit(iters, accs)

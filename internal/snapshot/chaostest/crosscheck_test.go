@@ -11,7 +11,7 @@ import (
 
 // This file is the sparse/dense cross-check suite: the sparse
 // event-driven core (the default) must reproduce the dense tick loop
-// bit for bit across the same scheduler × parallelism × failure matrix
+// bit for bit across the same scheduler × failure matrix
 // the crash-replay chaos test exercises, on both chaos workloads — the
 // generated trace and the synthetic Philly stream. Together with
 // TestChaosCrashReplay (which runs in the sparse default and therefore
@@ -26,23 +26,21 @@ import (
 func TestSparseDenseCrossCheck(t *testing.T) {
 	for _, wl := range []struct {
 		prefix string
-		config func(testing.TB, string, int, float64) sim.Config
+		config func(testing.TB, string, float64) sim.Config
 	}{{"", chaosConfig}, {"stream/", sourceChaosConfig}} {
 		for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
-			for _, workers := range []int{1, 8} {
-				for _, mttf := range []float64{0, 21600} {
-					wl, name, workers, mttf := wl, name, workers, mttf
-					t.Run(fmt.Sprintf("%s%s/workers=%d/mttf=%.0f", wl.prefix, name, workers, mttf), func(t *testing.T) {
-						t.Parallel()
-						sparse := runToEnd(t, wl.config(t, name, workers, mttf))
-						dcfg := wl.config(t, name, workers, mttf)
-						dcfg.DenseTicks = true
-						dense := runToEnd(t, dcfg)
-						if !reflect.DeepEqual(sparse, dense) {
-							t.Fatalf("sparse and dense runs diverged:\nsparse: %+v\ndense:  %+v", sparse, dense)
-						}
-					})
-				}
+			for _, mttf := range []float64{0, 21600} {
+				wl, name, mttf := wl, name, mttf
+				t.Run(fmt.Sprintf("%s%s/workers=1/mttf=%.0f", wl.prefix, name, mttf), func(t *testing.T) {
+					t.Parallel()
+					sparse := runToEnd(t, wl.config(t, name, mttf))
+					dcfg := wl.config(t, name, mttf)
+					dcfg.DenseTicks = true
+					dense := runToEnd(t, dcfg)
+					if !reflect.DeepEqual(sparse, dense) {
+						t.Fatalf("sparse and dense runs diverged:\nsparse: %+v\ndense:  %+v", sparse, dense)
+					}
+				})
 			}
 		}
 	}
@@ -50,9 +48,9 @@ func TestSparseDenseCrossCheck(t *testing.T) {
 
 // sourceChaosConfig is chaosConfig with the workload streamed from the
 // synthetic Philly source instead of the generated trace.
-func sourceChaosConfig(t testing.TB, name string, workers int, mttf float64) sim.Config {
+func sourceChaosConfig(t testing.TB, name string, mttf float64) sim.Config {
 	t.Helper()
-	cfg := chaosConfig(t, name, workers, mttf)
+	cfg := chaosConfig(t, name, mttf)
 	cfg.Source = mlfs.SyntheticPhillySource(16, 1, 1200)
 	return cfg
 }
@@ -78,7 +76,7 @@ func TestChaosCrashReplaySourceMode(t *testing.T) {
 					t.Parallel()
 					calls := 0
 					runChaosCfg(t, func() sim.Config {
-						cfg := sourceChaosConfig(t, name, 8, mttf)
+						cfg := sourceChaosConfig(t, name, mttf)
 						calls++
 						cfg.DenseTicks = flip && calls%2 == 0
 						return cfg

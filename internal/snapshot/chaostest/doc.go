@@ -3,11 +3,10 @@
 // (seeded) ticks, resume a fresh process image from the latest on-disk
 // snapshot, and assert that the final metrics — down to each job's
 // completion time — are byte-identical to a run that was never
-// interrupted, across schedulers, advance-worker counts and failure
-// configurations. It also hosts FuzzSnapshotDecode (mutated snapshot
-// bytes must yield typed errors, never panics) and the format-version
-// guard that fails when a snapshotted struct changes shape without a
-// FormatVersion bump.
+// interrupted, across schedulers and failure configurations. It also
+// hosts FuzzSnapshotDecode (mutated snapshot bytes must yield typed
+// errors, never panics). The format-version guard lives beside the
+// snapstate analyzer in internal/lint.
 //
 // The package intentionally contains no production code: everything
 // lives in test files so the harness ships with the repo's test suite.

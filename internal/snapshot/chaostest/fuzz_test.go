@@ -23,7 +23,7 @@ var fuzzTrace = sync.OnceValue(func() *mlfs.Trace {
 // fuzzSim builds the tiny simulator every fuzz execution restores into.
 func fuzzSim(t testing.TB) *sim.Simulator {
 	t.Helper()
-	cfg := chaosConfig(t, "mlf-h", 1, 21600)
+	cfg := chaosConfig(t, "mlf-h", 21600)
 	cfg.Source = mlfs.NewSliceSource(fuzzTrace())
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -38,7 +38,7 @@ func fuzzSim(t testing.TB) *sim.Simulator {
 func realSnapshot(t testing.TB) (framed, payload []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seed.snap")
-	cfg := chaosConfig(t, "mlf-h", 1, 21600)
+	cfg := chaosConfig(t, "mlf-h", 21600)
 	cfg.Source = mlfs.NewSliceSource(fuzzTrace())
 	cfg.SnapshotEvery = 40
 	cfg.SnapshotPath = path

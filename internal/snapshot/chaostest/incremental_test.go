@@ -26,20 +26,18 @@ import (
 // FullRescan — and requires bitwise-equal results.
 func TestIncrementalFullRescanCrossCheck(t *testing.T) {
 	for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
-		for _, workers := range []int{1, 8} {
-			for _, mttf := range []float64{0, 21600} {
-				name, workers, mttf := name, workers, mttf
-				t.Run(fmt.Sprintf("%s/workers=%d/mttf=%.0f", name, workers, mttf), func(t *testing.T) {
-					t.Parallel()
-					incremental := runToEnd(t, chaosConfig(t, name, workers, mttf))
-					fcfg := chaosConfig(t, name, workers, mttf)
-					fcfg.FullRescan = true
-					full := runToEnd(t, fcfg)
-					if !reflect.DeepEqual(incremental, full) {
-						t.Fatalf("incremental and full-rescan runs diverged:\nincremental: %+v\nfull-rescan: %+v", incremental, full)
-					}
-				})
-			}
+		for _, mttf := range []float64{0, 21600} {
+			name, mttf := name, mttf
+			t.Run(fmt.Sprintf("%s/workers=1/mttf=%.0f", name, mttf), func(t *testing.T) {
+				t.Parallel()
+				incremental := runToEnd(t, chaosConfig(t, name, mttf))
+				fcfg := chaosConfig(t, name, mttf)
+				fcfg.FullRescan = true
+				full := runToEnd(t, fcfg)
+				if !reflect.DeepEqual(incremental, full) {
+					t.Fatalf("incremental and full-rescan runs diverged:\nincremental: %+v\nfull-rescan: %+v", incremental, full)
+				}
+			})
 		}
 	}
 }
@@ -57,10 +55,10 @@ func TestIncrementalResumeWithDirtyJournal(t *testing.T) {
 		mttf := mttf
 		t.Run(fmt.Sprintf("mttf=%.0f", mttf), func(t *testing.T) {
 			t.Parallel()
-			golden := runToEnd(t, chaosConfig(t, "mlf-h", 8, mttf))
+			golden := runToEnd(t, chaosConfig(t, "mlf-h", mttf))
 
 			path := filepath.Join(t.TempDir(), "inc.snap")
-			cut := chaosConfig(t, "mlf-h", 8, mttf)
+			cut := chaosConfig(t, "mlf-h", mttf)
 			cut.SnapshotEvery = 6
 			cut.SnapshotPath = path
 			cut.StopAtTick = 14 // arrivals span the first 20 ticks: backlog guaranteed
@@ -79,7 +77,7 @@ func TestIncrementalResumeWithDirtyJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumedSim, err := sim.New(chaosConfig(t, "mlf-h", 8, mttf))
+			resumedSim, err := sim.New(chaosConfig(t, "mlf-h", mttf))
 			if err != nil {
 				t.Fatal(err)
 			}

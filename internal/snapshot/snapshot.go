@@ -7,8 +7,9 @@
 // the bytes.
 //
 // Format stability: every payload is tagged with FormatVersion. The
-// snapver guard test fails whenever a snapshotted struct gains or loses
-// a field without a version bump, so old snapshots are never silently
+// version guard (TestSnapshotVersionGuard in internal/lint) fails
+// whenever a field the codec writes or reads is added, removed, renamed
+// or retyped without a version bump, so old snapshots are never silently
 // misread. Decoding is total: corrupted or truncated input yields a
 // typed error (ErrCorrupt / ErrVersion / ErrMismatch), never a panic —
 // pinned by FuzzSnapshotDecode.
@@ -27,7 +28,7 @@ import (
 
 // FormatVersion is the snapshot payload format version. Bump it whenever
 // the byte layout changes — including any field added to or removed from
-// a snapshotted struct (the snapver guard test enforces this).
+// the codec of a snapshotted struct (the version guard enforces this).
 const FormatVersion = 7
 
 // ErrCorrupt marks snapshot bytes that cannot be decoded: bad magic,

@@ -66,10 +66,6 @@ func (s *composite) Schedule(ctx *sched.Context) {
 // live context each Control call), so it needs no notification.
 func (s *composite) Dirty(jobs []*job.Job) { s.rl.Dirty(jobs) }
 
-// Close releases MLF-RL's neural-engine worker pool (the simulator
-// calls it at the end of a run).
-func (s *composite) Close() { s.rl.Close() }
-
 // EncodeState implements sched.Snapshotter by concatenating the RL
 // scheduler's training state and the load controller's counter.
 func (s *composite) EncodeState(w *snapshot.Writer) {
@@ -104,9 +100,6 @@ type SchedulerOptions struct {
 	// accumulate into one optimizer step (default 1 — per-decision
 	// updates, bit-identical to the historical training schedule).
 	RLBatch int
-	// NNWorkers is the width of the neural engine's worker pool
-	// (0 = GOMAXPROCS). Results are bit-identical for any width.
-	NNWorkers int
 
 	// Ablation switches (Figs. 6–9).
 	DisableUrgency   bool
@@ -163,7 +156,6 @@ func (o SchedulerOptions) mlfrl() *mlfrl.Scheduler {
 	if o.RLBatch > 0 {
 		cfg.BatchSize = o.RLBatch
 	}
-	cfg.NNWorkers = o.NNWorkers
 	return mlfrl.New(cfg)
 }
 

@@ -16,17 +16,16 @@ import (
 // 24 jobs on a 16-GPU cluster, arrivals over 30 ticks. Every call
 // constructs a fresh scheduler and re-materialises the trace, so
 // simulators never share state.
-func resumeSimConfig(t *testing.T, name string, workers int, mttf float64) sim.Config {
+func resumeSimConfig(t *testing.T, name string, mttf float64) sim.Config {
 	t.Helper()
 	sch, err := NewScheduler(name, SchedulerOptions{Seed: 1, ImitationRounds: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{
-		Cluster:        Options{Servers: 4, GPUsPerServer: 4}.clusterConfig(),
-		Source:         NewSliceSource(GenerateTrace(24, 1, 1800)),
-		Scheduler:      sch,
-		AdvanceWorkers: workers,
+		Cluster:   Options{Servers: 4, GPUsPerServer: 4}.clusterConfig(),
+		Source:    NewSliceSource(GenerateTrace(24, 1, 1800)),
+		Scheduler: sch,
 	}
 	if mttf > 0 {
 		cfg.Failures = FailureConfig{MTTFSec: mttf, MTTRSec: 600, Seed: 3}
@@ -68,9 +67,9 @@ func TestSnapshotGoldenRoundTrip(t *testing.T) {
 	const stopAt, extra = 80, 100
 	for _, name := range append(SchedulerNames(), "fifo", "srtf") {
 		t.Run(name, func(t *testing.T) {
-			_, payload := snapshotAt(t, resumeSimConfig(t, name, 1, 0), stopAt)
+			_, payload := snapshotAt(t, resumeSimConfig(t, name, 0), stopAt)
 
-			cfgB := resumeSimConfig(t, name, 1, 0)
+			cfgB := resumeSimConfig(t, name, 0)
 			cfgB.StopAtTick = stopAt + extra
 			simB, err := sim.New(cfgB)
 			if err != nil {
@@ -91,7 +90,7 @@ func TestSnapshotGoldenRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfgC := resumeSimConfig(t, name, 1, 0)
+			cfgC := resumeSimConfig(t, name, 0)
 			cfgC.StopAtTick = stopAt + extra
 			simC, err := sim.New(cfgC)
 			if err != nil {
@@ -118,7 +117,7 @@ func TestSnapshotGoldenRoundTrip(t *testing.T) {
 func TestSnapshotResumeWhileParked(t *testing.T) {
 	const mttf = 1800 // one expected failure per server per 30 ticks
 	// Probe the run tick by tick for an instant with parked jobs.
-	probe, err := sim.New(resumeSimConfig(t, "mlf-h", 1, mttf))
+	probe, err := sim.New(resumeSimConfig(t, "mlf-h", mttf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +135,12 @@ func TestSnapshotResumeWhileParked(t *testing.T) {
 		t.Fatal("no job ever entered retry backoff; failure process too mild for this test")
 	}
 
-	simA, payload := snapshotAt(t, resumeSimConfig(t, "mlf-h", 1, mttf), stopAt)
+	simA, payload := snapshotAt(t, resumeSimConfig(t, "mlf-h", mttf), stopAt)
 	if len(simA.Parked()) == 0 {
 		t.Fatalf("tick %d: expected parked jobs at snapshot time", stopAt)
 	}
 
-	cfgB := resumeSimConfig(t, "mlf-h", 1, mttf)
+	cfgB := resumeSimConfig(t, "mlf-h", mttf)
 	simB, err := sim.New(cfgB)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +163,7 @@ func TestSnapshotResumeWhileParked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	simC, err := sim.New(resumeSimConfig(t, "mlf-h", 1, mttf))
+	simC, err := sim.New(resumeSimConfig(t, "mlf-h", mttf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,35 +175,6 @@ func TestSnapshotResumeWhileParked(t *testing.T) {
 	golden.Counters.ZeroVolatile()
 	if !reflect.DeepEqual(resumed, golden) {
 		t.Fatalf("resume from parked state diverged:\n%+v\n%+v", resumed, golden)
-	}
-}
-
-// TestSnapshotResumeAcrossWorkerCounts: a snapshot from a serial run
-// resumes bit-identically under a parallel advance pool (and vice
-// versa) — the snapshot carries no worker-count dependence.
-func TestSnapshotResumeAcrossWorkerCounts(t *testing.T) {
-	const stopAt = 60
-	_, payload := snapshotAt(t, resumeSimConfig(t, "mlf-h", 1, 7200), stopAt)
-
-	results := make([]*Result, 0, 2)
-	for _, workers := range []int{1, 8} {
-		cfg := resumeSimConfig(t, "mlf-h", workers, 7200)
-		s, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Restore(payload); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Counters.SchedSeconds = 0
-		results = append(results, res)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatalf("worker count changed resumed results:\n%+v\n%+v", results[0], results[1])
 	}
 }
 

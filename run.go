@@ -65,20 +65,13 @@ type Options struct {
 	// total submission count — the mode for Philly-scale runs.
 	Source TraceSource
 
-	// DenseTicks forces the historical dense tick loop: every tick
-	// executes, completed jobs stay in the scan sets, per-job caches are
-	// fixed-slot. Results are bit-identical to the default sparse
-	// event-driven core; the switch exists as a correctness oracle and
-	// for perf comparisons.
-	DenseTicks bool
-
 	// FullRescan disables the incremental round structure (dirty-set
 	// journal, pending list, no-fit frontier, cached priorities, round
 	// skipping) while keeping the sparse event core: every round rescans
 	// the full backlog exactly as the historical scheduler loop did.
 	// Results are bit-identical to the default incremental path; the
 	// switch exists as the round-structure oracle and for perf
-	// comparisons. Dense mode implies it.
+	// comparisons.
 	FullRescan bool
 
 	// Preset selects the cluster scale (default PaperReal). Servers and
@@ -101,11 +94,6 @@ type Options struct {
 	StragglerProb       float64
 	StragglerSlow       float64
 	ReplicateStragglers bool
-
-	// AdvanceWorkers is the number of goroutines the simulator uses to
-	// compute per-job iteration costs within a tick (0 = GOMAXPROCS,
-	// 1 = fully serial). Results are bit-identical for every setting.
-	AdvanceWorkers int
 
 	// Failures configures server fault injection with checkpoint/restart
 	// recovery (see FailureConfig). The zero value disables it. The
@@ -259,7 +247,6 @@ func newSimulator(opts Options) (*sim.Simulator, error) {
 	return sim.New(sim.Config{
 		Cluster:             opts.clusterConfig(),
 		Source:              src,
-		DenseTicks:          opts.DenseTicks,
 		FullRescan:          opts.FullRescan,
 		Scheduler:           s,
 		TickSec:             opts.TickSec,
@@ -269,7 +256,6 @@ func newSimulator(opts Options) (*sim.Simulator, error) {
 		StragglerProb:       opts.StragglerProb,
 		StragglerSlow:       opts.StragglerSlow,
 		ReplicateStragglers: opts.ReplicateStragglers,
-		AdvanceWorkers:      opts.AdvanceWorkers,
 		Failures:            opts.Failures,
 		SnapshotEvery:       opts.SnapshotEvery,
 		SnapshotPath:        opts.SnapshotPath,
@@ -309,7 +295,7 @@ func RoundScanBench(opts Options, dirtyFrac float64, rounds int) (RoundScan, err
 // Resume continues a run from a snapshot written by a previous Run with
 // SnapshotEvery set, producing metrics bit-identical to the run that was
 // interrupted — provided opts describes the same run (same scheduler,
-// trace/Jobs/Seed and simulation parameters; AdvanceWorkers and the
+// trace/Jobs/Seed and simulation parameters; FullRescan and the
 // snapshot options themselves may differ). A snapshot from a different
 // run fails with ErrSnapshotMismatch; unreadable or tampered bytes fail
 // with ErrSnapshotCorrupt (callers typically fall back to a fresh Run).
