@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint docs race resume scale serve-smoke failover ci bench nnbench simbench faultbench scalebench profile
+.PHONY: all build test vet lint docs race resume scale serve-smoke failover ci bench faultbench scalebench profile
 
 all: build
 
@@ -77,20 +77,15 @@ ci: vet lint test scale race
 # cache, demand wobble), the NN engine (batched scoring, imitation
 # updates, the in-situ MLF-RL scheduling round) and the MLF-C
 # learning-curve fit (grow-and-fit series, certified vs reference), with
-# allocation counts.
+# allocation counts; then one pass of the end-to-end Figure-5 sweep
+# (eight schedulers on the 550-server cluster at 1/1000 job counts, its
+# mlfs avg JCT reported as a result fingerprint).
 bench:
 	$(GO) test ./internal/sim/ -run xxx -bench 'BenchmarkTick|BenchmarkIterationTime|BenchmarkWobbleDemands' -benchmem
 	$(GO) test ./internal/learncurve/ -run xxx -bench BenchmarkPredictorFitSeries -benchmem
 	$(GO) test ./internal/nn/ -run xxx -bench 'BenchmarkForwardBatch|BenchmarkImitationBatch' -benchmem
 	$(GO) test ./internal/core/mlfrl/ -run xxx -bench BenchmarkMLFRLTick -benchtime 3x -benchmem
-
-# Policy-engine numbers (scoring/update speedups) -> results/BENCH_nn.json.
-nnbench:
-	$(GO) run ./cmd/mlfs-bench -out results -nnbench
-
-# End-to-end hot-path numbers -> results/BENCH_sim.json.
-simbench:
-	$(GO) run ./cmd/mlfs-bench -out results -simbench
+	$(GO) test -run xxx -bench BenchmarkFig5_LargeScale -benchtime 1x .
 
 # JCT degradation vs server MTTF under fault injection
 # -> results/BENCH_fault.json.

@@ -2,10 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -48,34 +46,13 @@ type faultBenchReport struct {
 	Entries     []faultBenchEntry `json:"entries"`
 }
 
-// faultBenchConfig parameterises the MTTF degradation sweep.
-type faultBenchConfig struct {
-	Path  string // BENCH_fault.json destination
-	Seed  int64
-	Jobs  int
-	MTTFs []float64 // sweep values; 0 = failure-free baseline
-	// SnapshotEvery > 0 writes a per-cell snapshot into SnapshotDir every
-	// N ticks; Resume continues interrupted cells from those snapshots
-	// (bit-identical to uninterrupted runs), restarting from zero — with
-	// a warning — when a snapshot is missing or corrupt.
-	SnapshotEvery int
-	SnapshotDir   string
-	Resume        bool
-}
-
 // runFaultBench sweeps JCT degradation versus MTTF for every scheduler
 // under the identical workload and identical failure traces, and writes
 // BENCH_fault.json. Every cell of a given MTTF column faces the same
 // failure event sequence (the fault process is seeded independently of
 // the policy), so differences are pure scheduling quality under churn.
-func runFaultBench(cfg faultBenchConfig) error {
+func runFaultBench(path string, seed int64, jobs int, mttfs []float64) error {
 	const mttrSec = 600
-	seed, jobs := cfg.Seed, cfg.Jobs
-	if cfg.SnapshotEvery > 0 {
-		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
-			return err
-		}
-	}
 	report := faultBenchReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
@@ -87,7 +64,7 @@ func runFaultBench(cfg faultBenchConfig) error {
 	tr := mlfs.GenerateTrace(jobs, seed, mlfs.DefaultTraceDuration(jobs))
 	baseJCT := make(map[string]float64)
 	for _, schedName := range faultBenchSchedulers {
-		for _, mttf := range cfg.MTTFs {
+		for _, mttf := range mttfs {
 			opts := mlfs.Options{
 				Scheduler: schedName,
 				Seed:      seed,
@@ -98,13 +75,8 @@ func runFaultBench(cfg faultBenchConfig) error {
 			if mttf > 0 {
 				opts.Failures = mlfs.FailureConfig{MTTFSec: mttf, MTTRSec: mttrSec, Seed: seed}
 			}
-			snapPath := filepath.Join(cfg.SnapshotDir, fmt.Sprintf("%s-mttf%.0f.snap", schedName, mttf))
-			if cfg.SnapshotEvery > 0 {
-				opts.SnapshotEvery = cfg.SnapshotEvery
-				opts.SnapshotPath = snapPath
-			}
 			start := time.Now()
-			res, err := faultBenchCell(opts, snapPath, cfg.Resume)
+			res, err := mlfs.Run(opts)
 			if err != nil {
 				return err
 			}
@@ -131,7 +103,7 @@ func runFaultBench(cfg faultBenchConfig) error {
 				entry.ServerFailures, entry.WorkLostIters, entry.JobRestarts, entry.JobsKilled)
 		}
 	}
-	f, err := os.Create(cfg.Path)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -144,26 +116,6 @@ func runFaultBench(cfg faultBenchConfig) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("%-10s -> %s\n", "faultbench", cfg.Path)
+	fmt.Printf("%-10s -> %s\n", "faultbench", path)
 	return nil
-}
-
-// faultBenchCell runs one sweep cell, resuming from its snapshot when
-// asked. Resume is best-effort: a cell whose snapshot is absent,
-// corrupt or from another format version restarts from zero with a
-// warning, keeping the sweep as a whole restartable even when individual
-// snapshots did not survive the interruption.
-func faultBenchCell(opts mlfs.Options, snapPath string, resume bool) (*mlfs.Result, error) {
-	if !resume {
-		return mlfs.Run(opts)
-	}
-	if _, err := os.Stat(snapPath); err != nil {
-		return mlfs.Run(opts)
-	}
-	res, err := mlfs.Resume(snapPath, opts)
-	if errors.Is(err, mlfs.ErrSnapshotCorrupt) || errors.Is(err, mlfs.ErrSnapshotVersion) {
-		fmt.Fprintf(os.Stderr, "mlfs-bench: warning: snapshot %s unusable (%v); restarting from zero\n", snapPath, err)
-		return mlfs.Run(opts)
-	}
-	return res, err
 }

@@ -28,7 +28,8 @@ var (
 
 // scaleBenchSchedulers are the policies profiled: the two classic
 // references plus the paper's heuristic core. (MLF-RL trains a neural
-// policy per decision; its cost is profiled separately by -nnbench.)
+// policy per decision; its cost is measured by perfbench's paper-mlfs
+// workload and the internal/nn benchmarks.)
 var scaleBenchSchedulers = []string{"fifo", "srtf", "mlf-h"}
 
 // scaleBenchEntry is one (scheduler, jobs, servers) cell. The round_*

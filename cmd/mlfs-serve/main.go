@@ -110,7 +110,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if info := srv.Info(); info.Resumed {
+	info := srv.Info()
+	if info.TornBytes > 0 {
+		fmt.Fprintf(os.Stderr, "mlfs-serve: cut a torn %d-byte final line (never acknowledged) from %s\n",
+			info.TornBytes, *jourPath)
+	}
+	if info.Resumed {
 		fmt.Fprintf(os.Stderr, "mlfs-serve: resumed from %s: %d journaled submissions, %d already finalised\n",
 			*snapPath, info.JournalRecords, info.CompletedRestored)
 	} else if info.JournalRecords > 0 {

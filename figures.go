@@ -355,10 +355,16 @@ func Makespans(schedulers []string, jobCounts []int, base Options) (*Figure, err
 	if err != nil {
 		return nil, err
 	}
+	return MakespanFigure(schedulers, jobCounts, results), nil
+}
+
+// MakespanFigure derives the makespan comparison from an existing
+// Compare sweep, such as the results Figure4All returns.
+func MakespanFigure(schedulers []string, jobCounts []int, results map[string][]*Result) *Figure {
 	fig := &Figure{ID: "makespan", Title: "Makespan", XLabel: "number of jobs", YLabel: "makespan (h)"}
 	for _, name := range schedulers {
 		fig.Series = append(fig.Series,
 			seriesOf(name, jobCounts, results[name], func(r *Result) float64 { return r.MakespanSec / 3600 }))
 	}
-	return fig, nil
+	return fig
 }

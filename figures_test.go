@@ -1,6 +1,10 @@
 package mlfs
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -190,5 +194,59 @@ func TestSweep(t *testing.T) {
 		if _, err := Sweep(param, []float64{0.5}, Options{Jobs: 5, Servers: 2, GPUsPerServer: 2}); err != nil {
 			t.Fatalf("sweep %s: %v", param, err)
 		}
+	}
+}
+
+// TestPublishedFiguresPinned regenerates the Figure-4 sweep at 155 jobs
+// with mlfs-bench's options and requires every 155-job row of the
+// committed results/fig4b–g.tsv and results/makespan.tsv to match byte
+// for byte, so a change that moves a published number must regenerate
+// results/ with it. fig4a (a CDF at the middle job count) and fig4h
+// (wall-clock overhead) have no comparable 155-job row. The committed
+// files hold amd64 bits.
+func TestPublishedFiguresPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("nine full simulations")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("published figures hold amd64 floating point")
+	}
+	schedulers := SchedulerNames()
+	counts := []int{155}
+	figs, results, err := Figure4All(schedulers, counts, Options{Seed: 1, SchedOpts: SchedulerOptions{Seed: 1}, Preset: PaperReal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs = append(figs, MakespanFigure(schedulers, counts, results))
+	// rows keeps the series headers and the 155-job rows of a TSV.
+	rows := func(tsv []byte) string {
+		var b strings.Builder
+		for _, line := range strings.SplitAfter(string(tsv), "\n") {
+			if strings.HasPrefix(line, "## ") || strings.HasPrefix(line, "155\t") {
+				b.WriteString(line)
+			}
+		}
+		return b.String()
+	}
+	checked := 0
+	for _, fig := range figs {
+		if fig.ID == "fig4a" || fig.ID == "fig4h" {
+			continue
+		}
+		committed, err := os.ReadFile(filepath.Join("results", fig.ID+".tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := fig.WriteTSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want, have := rows(committed), rows(got.Bytes()); want != have {
+			t.Errorf("results/%s.tsv: committed 155-job rows differ from this build:\ncommitted:\n%sregenerated:\n%s", fig.ID, want, have)
+		}
+		checked++
+	}
+	if checked != 7 {
+		t.Fatalf("checked %d figures, want fig4b–g and makespan", checked)
 	}
 }

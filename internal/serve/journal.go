@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -146,25 +147,40 @@ func (j *journal) Close() error {
 
 // readJournalEnvelopes loads every envelope from path in append order
 // — the representation replication needs, since submissions and
-// cancellations interleave. A missing file is an empty journal. A
-// malformed line fails the load: the journal is the run's ground
-// truth, so silently dropping records would silently change the
-// workload.
-func readJournalEnvelopes(path string) ([]journalLine, error) {
+// cancellations interleave. A missing file is an empty journal.
+//
+// An unterminated final line is an append that failed part-way (short
+// write, full disk): appendRaw acknowledges a record only after its
+// newline is flushed, so such a line was never acknowledged. It is
+// skipped, and its length is returned as torn so recovery can cut it
+// off before appending behind it. Any other malformed line — a
+// newline-terminated one may have been acknowledged — fails the load:
+// the journal is the run's ground truth, so silently dropping records
+// would silently change the workload.
+func readJournalEnvelopes(path string) (envs []journalLine, torn int64, err error) {
 	if path == "" {
-		return nil, nil
+		return nil, 0, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, 0, nil
 		}
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), journalMaxLine)
-	var envs []journalLine
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		if atEOF && len(data) > 0 {
+			torn = int64(len(data))
+			return len(data), nil, nil
+		}
+		return 0, nil, nil
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -173,17 +189,41 @@ func readJournalEnvelopes(path string) ([]journalLine, error) {
 		}
 		var l journalLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return nil, fmt.Errorf("serve: journal %s line %d: %w", path, line, err)
+			return nil, 0, fmt.Errorf("serve: journal %s line %d: %w", path, line, err)
 		}
 		if (l.Submit == nil) == (l.Cancel == nil) {
-			return nil, fmt.Errorf("serve: journal %s line %d: want exactly one of submit or cancel", path, line)
+			return nil, 0, fmt.Errorf("serve: journal %s line %d: want exactly one of submit or cancel", path, line)
 		}
 		envs = append(envs, l)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("serve: journal %s: %w", path, err)
+		return nil, 0, fmt.Errorf("serve: journal %s: %w", path, err)
 	}
-	return envs, nil
+	return envs, torn, nil
+}
+
+// truncateTornTail cuts the last torn bytes off the journal at path
+// and makes the cut durable, so the next append starts a fresh line
+// instead of completing a record that was never acknowledged.
+func truncateTornTail(path string, torn int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		err = f.Truncate(fi.Size() - torn)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: journal %s: cutting torn tail: %w", path, err)
+	}
+	return nil
 }
 
 // splitEnvelopes separates an ordered envelope stream into its
@@ -201,9 +241,10 @@ func splitEnvelopes(envs []journalLine) (records []trace.Record, cancels []Cance
 }
 
 // readJournal loads every record from path, split by kind, each slice
-// in append order.
+// in append order. A torn final line is skipped, and the file is left
+// as it is.
 func readJournal(path string) (records []trace.Record, cancels []CancelRecord, err error) {
-	envs, err := readJournalEnvelopes(path)
+	envs, _, err := readJournalEnvelopes(path)
 	if err != nil {
 		return nil, nil, err
 	}

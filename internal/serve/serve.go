@@ -191,6 +191,10 @@ type Info struct {
 	JournalRecords int
 	// CompletedRestored is the number of finalised jobs recovered.
 	CompletedRestored int
+	// TornBytes is the length of the unterminated final journal line
+	// recovery cut off: an append that failed part-way and was never
+	// acknowledged. Zero for a clean journal.
+	TornBytes int64
 }
 
 // Server hosts one simulator behind the HTTP API. Create with New,
@@ -372,7 +376,8 @@ func Oracle(cfg Config, records []trace.Record, cancels []CancelRecord) (*metric
 }
 
 // ReadJournal loads a journal's submissions and cancellations
-// (exported for the oracle path and tooling).
+// (exported for the oracle path and tooling). A torn final line — an
+// append that failed part-way — is skipped and the file left as it is.
 func ReadJournal(path string) ([]trace.Record, []CancelRecord, error) { return readJournal(path) }
 
 // New builds a server: it recovers state from the journal and snapshot
@@ -486,9 +491,15 @@ func (s *Server) addEntry(rec trace.Record) *jobEntry {
 // with the journal (longer than it, or a workload fingerprint
 // mismatch) is an operator error and refuses to start.
 func (s *Server) recover() error {
-	envs, err := readJournalEnvelopes(s.cfg.JournalPath)
+	envs, torn, err := readJournalEnvelopes(s.cfg.JournalPath)
 	if err != nil {
 		return err
+	}
+	if torn > 0 {
+		if err := truncateTornTail(s.cfg.JournalPath, torn); err != nil {
+			return err
+		}
+		s.info.TornBytes = torn
 	}
 	records, cancels := splitEnvelopes(envs)
 	s.info.JournalRecords = len(records)
