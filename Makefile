@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the gate every change must pass:
 # vet, the invariant linters (the package-comment check included), the
 # full test suite (the serve-smoke parity tests included), the
-# Philly-scale streaming smoke, and the test suite again under the race
+# Philly-scale streaming smoke benchmark, and the test suite again under the race
 # detector (the simulator is single-threaded, but the service runs its
 # event loop, the standby follower and the HTTP handlers on separate
 # goroutines around it). The focused
@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint docs race resume scale serve-smoke failover ci bench faultbench scalebench profile
+.PHONY: all build test vet lint docs race resume scale serve-smoke failover ci bench scalebench profile
 
 all: build
 
@@ -49,11 +49,12 @@ race:
 resume:
 	$(GO) test -race ./internal/snapshot/... ./cmd/mlfs-sim/
 
-# Philly-scale smoke: the streaming sparse core end to end — the scale
-# benchmark at reduced sizes, under the race detector, into a throwaway
-# directory (the real sweep is `make scalebench`).
+# Philly-scale smoke: the streaming sparse core end to end —
+# BenchmarkPhillyScale at its -short sizes ({200,400} jobs x 8 servers,
+# both full-rescan oracle checks per cell) under the race detector (the
+# real sweep is `make scalebench`).
 scale:
-	$(GO) run -race ./cmd/mlfs-bench -scalebench -scalebench-jobs 200,400 -scalebench-servers 8 -out /tmp/mlfs-scale-smoke
+	$(GO) test -race -short -run '^$$' -bench BenchmarkPhillyScale -benchtime 1x .
 
 # Service smoke: boot the HTTP service in-process, drive 1000 seeded
 # submissions through the API with the load generator, drain, and
@@ -87,29 +88,30 @@ bench:
 	$(GO) test ./internal/core/mlfrl/ -run xxx -bench BenchmarkMLFRLTick -benchtime 3x -benchmem
 	$(GO) test -run xxx -bench BenchmarkFig5_LargeScale -benchtime 1x .
 
-# JCT degradation vs server MTTF under fault injection
-# -> results/BENCH_fault.json.
-faultbench:
-	$(GO) run ./cmd/mlfs-bench -out results -faultbench
-
-# Philly-scale sweep: per-decision cost and peak memory at
-# {1k,10k,100k} jobs x {55,550} servers -> results/BENCH_scale.json.
+# Philly-scale sweep: per-decision cost, peak heap, round telemetry and
+# the two full-rescan oracle checks at {1k,10k,100k} jobs x {55,550}
+# servers (about 25 min) -> results/bench_scale.txt: a commit line, then
+# go test's output (goos/goarch/cpu lines, GOMAXPROCS as the name
+# suffix), diffable between runs with benchstat.
 scalebench:
-	$(GO) run ./cmd/mlfs-bench -out results -scalebench
+	echo "commit: $$(git describe --always --dirty)" > results/bench_scale.txt
+	$(GO) test -run '^$$' -bench BenchmarkPhillyScale -benchtime 1x -timeout 0 . >> results/bench_scale.txt
+	cat results/bench_scale.txt
 
-# CPU/heap pprof profiles of one scalebench cell (default: mlf-h at 100k
-# jobs / 550 servers, the ISSUE-8 acceptance cell; override with
+# CPU/heap pprof profiles of one BenchmarkPhillyScale cell (default:
+# mlf-h at 100k jobs / 550 servers, the largest cell; override with
 # PROFILE_JOBS / PROFILE_SERVERS / PROFILE_SCHED for a faster pass).
 # Reading the profiles is documented in EXPERIMENTS.md. Note the cell
-# runs twice — incremental rounds plus the full-rescan oracle twin — so
-# the profile shows both sides of the comparison.
+# runs the workload twice — incremental rounds plus the full-rescan
+# oracle twin — and both round probes, so the profile shows both sides
+# of the comparison. go test leaves its binary, mlfs.test, in the
+# repository root (git-ignored).
 PROFILE_JOBS ?= 100000
 PROFILE_SERVERS ?= 550
 PROFILE_SCHED ?= mlf-h
 profile:
 	mkdir -p results/pprof
-	$(GO) run ./cmd/mlfs-bench -scalebench \
-		-scalebench-jobs $(PROFILE_JOBS) -scalebench-servers $(PROFILE_SERVERS) \
-		-scalebench-schedulers $(PROFILE_SCHED) -out results/pprof \
+	$(GO) test -run '^$$' -benchtime 1x -timeout 0 \
+		-bench '^BenchmarkPhillyScale$$/^$(PROFILE_SCHED)$$/^servers=$(PROFILE_SERVERS)$$/^jobs=$(PROFILE_JOBS)$$' \
 		-cpuprofile results/pprof/scalebench_cpu.prof \
-		-memprofile results/pprof/scalebench_heap.prof
+		-memprofile results/pprof/scalebench_heap.prof .

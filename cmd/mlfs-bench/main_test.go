@@ -5,27 +5,20 @@ import (
 	"testing"
 )
 
-func TestParseMTTFs(t *testing.T) {
-	got, err := parseMTTFs("")
+// TestJobCountsRejectsNonPositive: -counts goes through parseInts, so a
+// zero or negative count is a usage error, not a panic deep in trace
+// generation or a figure of empty runs.
+func TestJobCountsRejectsNonPositive(t *testing.T) {
+	for _, bad := range []string{"-3", "0", "155,0", "x"} {
+		if got, err := jobCounts(bad, false); err == nil {
+			t.Errorf("-counts %q = %v, want an error", bad, got)
+		}
+	}
+	got, err := jobCounts(" 40,155", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, faultBenchMTTFs) {
-		t.Fatalf("empty override must keep the default sweep, got %v", got)
-	}
-
-	got, err = parseMTTFs("0, 21600,7200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []float64{0, 21600, 7200}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("parseMTTFs = %v, want %v", got, want)
-	}
-
-	if _, err := parseMTTFs("abc"); err == nil {
-		t.Fatal("non-numeric MTTF must error")
-	}
-	if _, err := parseMTTFs("3600,-1"); err == nil {
-		t.Fatal("negative MTTF must error")
+	if want := []int{40, 155}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("-counts 40,155 = %v, want %v", got, want)
 	}
 }

@@ -102,20 +102,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	faultPath := filepath.Join(*in, "BENCH_fault.json")
-	if _, err := os.Stat(faultPath); err != nil {
-		faultPath = ""
-	}
-	scalePath := filepath.Join(*in, "BENCH_scale.json")
-	if _, err := os.Stat(scalePath); err != nil {
-		scalePath = ""
-	}
 	servePath := filepath.Join(*in, "BENCH_serve.json")
 	if _, err := os.Stat(servePath); err != nil {
 		servePath = ""
 	}
-	if len(paths) == 0 && faultPath == "" && scalePath == "" && servePath == "" {
-		fatal(fmt.Errorf("no TSV files, BENCH_fault.json, BENCH_scale.json or BENCH_serve.json in %s", *in))
+	if len(paths) == 0 && servePath == "" {
+		fatal(fmt.Errorf("no TSV files or BENCH_serve.json in %s", *in))
 	}
 	sort.Strings(paths)
 	var filter map[string]bool
@@ -140,24 +132,8 @@ func main() {
 		}
 		fmt.Print(table(fig))
 	}
-	// The fault benchmark ships as JSON, not TSV: render its failure
-	// counters last, under the figure id "fault".
-	if faultPath != "" && (filter == nil || filter["fault"]) {
-		ff, err := parseFaultJSON(faultPath)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(faultTable(ff))
-	}
-	// So does the scale benchmark, under the figure id "scale".
-	if scalePath != "" && (filter == nil || filter["scale"]) {
-		sf, err := parseScaleJSON(scalePath)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(scaleTable(sf))
-	}
-	// And the service benchmark, under the figure id "serve".
+	// The service benchmark ships as JSON, not TSV: render it last,
+	// under the figure id "serve".
 	if servePath != "" && (filter == nil || filter["serve"]) {
 		sf, err := parseServeJSON(servePath)
 		if err != nil {

@@ -368,3 +368,52 @@ func MakespanFigure(schedulers []string, jobCounts []int, results map[string][]*
 	}
 	return fig
 }
+
+// FaultFigure reproduces the fault-injection sweep: the five schedulers
+// compared under failures (MLFS, its heuristic core, and the
+// time-quantum, packing and fair-share baselines) at one job count, once
+// without failures and once per server MTTF of 24 h, 6 h and 2 h (MTTR
+// 600 s, failure seed = base.Seed, so every scheduler in a column faces
+// the identical failure trace). X is server failures per day (0 = no
+// failures); there is one series per (metric, scheduler). mlfs-bench
+// runs it at 155 jobs.
+func FaultFigure(jobs int, base Options) (*Figure, error) {
+	schedulers := []string{"mlfs", "mlf-h", "tiresias", "gandiva", "tensorflow"}
+	mttfs := []float64{0, 86400, 21600, 7200}
+	fig := &Figure{ID: "fault", Title: "Scheduling under server failures",
+		XLabel: "server failures per day", YLabel: "mixed (see series labels)"}
+	runs := make([]map[string][]*Result, len(mttfs))
+	for i, mttf := range mttfs {
+		opts := base
+		if mttf > 0 {
+			opts.Failures = FailureConfig{MTTFSec: mttf, MTTRSec: 600, Seed: base.Seed}
+		}
+		var err error
+		if runs[i], err = Compare(schedulers, []int{jobs}, opts); err != nil {
+			return nil, err
+		}
+	}
+	for _, m := range []struct {
+		label string
+		f     func(*Result) float64
+	}{
+		{"avg JCT min", func(r *Result) float64 { return r.AvgJCTSec / 60 }},
+		{"deadline ratio", func(r *Result) float64 { return r.DeadlineRatio }},
+		{"jobs killed", func(r *Result) float64 { return float64(r.Counters.JobsKilled) }},
+		{"job restarts", func(r *Result) float64 { return float64(r.Counters.JobRestarts) }},
+		{"work lost iters", func(r *Result) float64 { return r.Counters.WorkLostIters }},
+	} {
+		for _, name := range schedulers {
+			s := Series{Label: fmt.Sprintf("%s (%s)", name, m.label)}
+			for i, mttf := range mttfs {
+				perDay := 0.0
+				if mttf > 0 {
+					perDay = 86400 / mttf
+				}
+				s.Points = append(s.Points, Point{X: perDay, Y: m.f(runs[i][name][0])})
+			}
+			fig.Series = append(fig.Series, s)
+		}
+	}
+	return fig, nil
+}

@@ -130,6 +130,34 @@ func TestMakespansFigure(t *testing.T) {
 	}
 }
 
+// TestFaultFigure checks the fault sweep's layout on a tiny cluster: the
+// five metrics × five schedulers, X in failures per day, and a
+// failure-free column that kills nothing.
+func TestFaultFigure(t *testing.T) {
+	fig, err := FaultFigure(6, tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig.ID != "fault" || len(fig.Series) != 25 {
+		t.Fatalf("fault figure %q has %d series, want 25", fig.ID, len(fig.Series))
+	}
+	for _, s := range fig.Series {
+		var xs []float64
+		for _, p := range s.Points {
+			xs = append(xs, p.X)
+		}
+		if len(xs) != 4 || xs[0] != 0 || xs[1] != 1 || xs[2] != 4 || xs[3] != 12 {
+			t.Fatalf("%s: x = %v, want failures/day 0, 1, 4, 12", s.Label, xs)
+		}
+		if strings.HasSuffix(s.Label, "(jobs killed)") && s.Points[0].Y != 0 {
+			t.Fatalf("%s: %v kills without failures", s.Label, s.Points[0].Y)
+		}
+	}
+	if got := fig.Series[0].Label; got != "mlfs (avg JCT min)" {
+		t.Fatalf("first series %q, want mlfs (avg JCT min)", got)
+	}
+}
+
 func TestWriteTSV(t *testing.T) {
 	fig := &Figure{ID: "x", Title: "T", XLabel: "a", YLabel: "b",
 		Series: []Series{{Label: "s1", Points: []Point{{1, 2}, {3, 4}}}}}
@@ -200,13 +228,14 @@ func TestSweep(t *testing.T) {
 // TestPublishedFiguresPinned regenerates the Figure-4 sweep at 155 jobs
 // with mlfs-bench's options and requires every 155-job row of the
 // committed results/fig4b–g.tsv and results/makespan.tsv to match byte
-// for byte, so a change that moves a published number must regenerate
-// results/ with it. fig4a (a CDF at the middle job count) and fig4h
-// (wall-clock overhead) have no comparable 155-job row. The committed
-// files hold amd64 bits.
+// for byte, and the fault sweep to reproduce results/fault.tsv whole,
+// so a change that moves a published number must regenerate results/
+// with it. fig4a (a CDF at the middle job count) and fig4h (wall-clock
+// overhead) have no comparable 155-job row. The committed files hold
+// amd64 bits.
 func TestPublishedFiguresPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine full simulations")
+		t.Skip("thirty full simulations")
 	}
 	if runtime.GOARCH != "amd64" {
 		t.Skip("published figures hold amd64 floating point")
@@ -248,5 +277,22 @@ func TestPublishedFiguresPinned(t *testing.T) {
 	}
 	if checked != 7 {
 		t.Fatalf("checked %d figures, want fig4b–g and makespan", checked)
+	}
+
+	// The fault sweep is deterministic end to end: every row must match.
+	fault, err := FaultFigure(155, Options{Seed: 1, SchedOpts: SchedulerOptions{Seed: 1}, Preset: PaperReal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile(filepath.Join("results", "fault.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := fault.WriteTSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(committed, got.Bytes()) {
+		t.Errorf("results/fault.tsv differs from this build:\ncommitted:\n%s\nregenerated:\n%s", committed, got.Bytes())
 	}
 }

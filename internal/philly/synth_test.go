@@ -46,10 +46,10 @@ func hashRecords(src trace.Source, n int) uint64 {
 
 // TestSyntheticPinned pins the first records of the seed-42 stream and
 // a digest over the first thousand. The synthetic workload is part of
-// run identity — scalebench results are only comparable across commits
-// if trace = f(seed, size) never drifts — so any change to the sampler,
-// the arrival inversion or the per-record seeding must show up here and
-// be called out as a breaking change.
+// run identity — BenchmarkPhillyScale results are only comparable across
+// commits if trace = f(seed, size) never drifts — so any change to the
+// sampler, the arrival inversion or the per-record seeding must show up
+// here and be called out as a breaking change.
 func TestSyntheticPinned(t *testing.T) {
 	s := NewSynthetic(SynthConfig{Jobs: 1000, Seed: 42})
 	const wantHash = uint64(0x23ffa733038424bc)

@@ -3,9 +3,10 @@
 // predicted from history (~89% accuracy in the paper); unseen jobs are
 // sample-run briefly and predicted with lower accuracy (~70%).
 //
-// The simulator uses predictions to derive deadlines and per-task
-// remaining times, never ground truth, so prediction error propagates into
-// scheduling exactly as it would in the real system.
+// Nothing in the simulator imports this package yet: deadlines and
+// remaining times come from job.EstimateRuntime, the exact I_max × ideal
+// iteration time, so no prediction error reaches the schedulers and every
+// published result is an exact-information upper bound (DESIGN.md §5).
 //
 // Determinism: prediction noise comes from a single source seeded at
 // construction, so a fixed seed reproduces the same errors in the same

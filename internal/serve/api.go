@@ -263,6 +263,9 @@ func buildRecord(req SubmitRequest, id int64, arrival float64) (trace.Record, er
 	if req.AllowDowngrade != nil {
 		rec.AllowDowngrade = *req.AllowDowngrade
 	}
+	if err := rec.Validate(); err != nil {
+		return rec, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+	}
 	return rec, nil
 }
 

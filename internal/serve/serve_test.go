@@ -155,6 +155,9 @@ func TestSubmitStatusCancelLifecycle(t *testing.T) {
 		{"POST", "/v1/jobs", `{"gpus": 1, "comm": "rdma"}`, 400},
 		{"POST", "/v1/jobs", `{"gpus": 1, "stop_option": "never"}`, 400},
 		{"POST", "/v1/jobs", `{"gpus": 1, "arrival_sec": -5}`, 400},
+		{"POST", "/v1/jobs", `{"gpus": 1, "train_data_mb": -1}`, 400},
+		{"POST", "/v1/jobs", `{"gpus": 1, "comm_vol_ps_mb": -1e6}`, 400},
+		{"POST", "/v1/jobs", `{"gpus": 1, "comm_vol_ww_mb": -1e6}`, 400},
 		{"POST", "/v1/jobs", `{"gpus": 1, "frobnicate": true}`, 400},
 		{"POST", "/v1/jobs", `not json`, 400},
 	} {

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// This file holds the backlogged round-scan probe behind
-// mlfs.RoundScanBench and the scale benchmark's backlog_round_* columns.
+// This file holds the backlogged round-scan probe behind the
+// backlog-round-µs metrics of the root package's BenchmarkPhillyScale.
 // The normal scale cells run at the Philly trace's submission density,
 // where the cluster keeps up and rounds are dominated by placement and
 // migration work that the incremental and full-rescan modes share; the

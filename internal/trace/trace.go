@@ -389,7 +389,34 @@ func parseRow(row []string) (Record, error) {
 	if err != nil {
 		return r, err
 	}
-	return r, nil
+	return r, r.Validate()
+}
+
+// Validate rejects a record no submission can carry: a negative or
+// non-finite arrival, target fraction, data size, communication volume
+// or deadline slack, or a negative GPU count or urgency. Such values
+// feed the cost model unchecked — a negative communication volume makes
+// a job whose iterations never finish, holding its GPUs to the horizon.
+func (r Record) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"arrival_sec", r.ArrivalSec},
+		{"target_frac", r.TargetFrac},
+		{"train_data_mb", r.TrainDataMB},
+		{"comm_vol_ps", r.CommVolPS},
+		{"comm_vol_ww", r.CommVolWW},
+		{"deadline_slack_sec", r.DeadlineSlackSec},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v: want a finite value >= 0", f.name, f.v)
+		}
+	}
+	if r.GPUs < 0 || r.Urgency < 0 {
+		return fmt.Errorf("gpus %d, urgency %d: want values >= 0", r.GPUs, r.Urgency)
+	}
+	return nil
 }
 
 // Slice returns a copy of the trace restricted to the first n jobs (or all

@@ -236,6 +236,31 @@ func TestSlice(t *testing.T) {
 }
 
 // Malformed CSV rows must produce errors, never panics.
+// TestReadCSVRejectsHostileValues: a negative or non-finite size,
+// volume, arrival, target or slack fails the read with an error naming
+// the row, instead of materialising a job that never finishes.
+func TestReadCSVRejectsHostileValues(t *testing.T) {
+	good := Generate(GenConfig{Jobs: 1, Seed: 1})
+	var buf bytes.Buffer
+	if err := good.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	for _, col := range []int{1, 2, 5, 6, 7, 8, 9, 10} {
+		for _, bad := range []string{"-1", "NaN", "+Inf"} {
+			if (col == 2 || col == 5) && bad != "-1" {
+				continue // gpus and urgency are ints: only a negative parses
+			}
+			row := strings.Split(lines[1], ",")
+			row[col] = bad
+			_, err := ReadCSV(strings.NewReader(lines[0] + "\n" + strings.Join(row, ",") + "\n"))
+			if err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), csvHeader[col]) {
+				t.Errorf("%s = %s: err = %v, want an error naming row 2 and the column", csvHeader[col], bad, err)
+			}
+		}
+	}
+}
+
 func TestParseRowNeverPanics(t *testing.T) {
 	good := Generate(GenConfig{Jobs: 1, Seed: 1})
 	var buf bytes.Buffer

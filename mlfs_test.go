@@ -164,3 +164,17 @@ func TestCompareMatchesSequentialRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareRejectsNonPositiveCounts: a job count below 1 is an error,
+// not a panic in trace generation (negative) or a sweep of empty runs
+// that reads as a figure of zeros (0).
+func TestCompareRejectsNonPositiveCounts(t *testing.T) {
+	for _, counts := range [][]int{{-3}, {0}, {8, 0}} {
+		if res, err := Compare([]string{"fifo"}, counts, tiny()); err == nil {
+			t.Errorf("Compare(counts %v) = %v, want an error", counts, res)
+		}
+	}
+	if _, err := Figure9([]int{-3}, tiny()); err == nil {
+		t.Error("Figure9 at -3 jobs must fail")
+	}
+}

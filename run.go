@@ -65,15 +65,6 @@ type Options struct {
 	// total submission count — the mode for Philly-scale runs.
 	Source TraceSource
 
-	// FullRescan disables the incremental round structure (dirty-set
-	// journal, pending list, no-fit frontier, cached priorities, round
-	// skipping) while keeping the sparse event core: every round rescans
-	// the full backlog exactly as the historical scheduler loop did.
-	// Results are bit-identical to the default incremental path; the
-	// switch exists as the round-structure oracle and for perf
-	// comparisons.
-	FullRescan bool
-
 	// Preset selects the cluster scale (default PaperReal). Servers and
 	// GPUsPerServer, when both non-zero, override the preset.
 	Preset        ClusterPreset
@@ -213,20 +204,21 @@ func SaveTraceCSV(t *Trace, path string) error {
 	return f.Close()
 }
 
-// newSimulator builds the configured simulator: scheduler by name when
-// no instance is given, trace generation when none is supplied, cluster
-// preset resolution. The simulator only ingests a stream, so a trace —
-// given or generated — runs through a fresh SliceSource per run.
-func newSimulator(opts Options) (*sim.Simulator, error) {
+// simConfig resolves opts into the simulator's configuration: scheduler
+// by name when no instance is given, trace generation when none is
+// supplied, cluster preset resolution. The simulator only ingests a
+// stream, so a trace — given or generated — runs through a fresh
+// SliceSource per call.
+func simConfig(opts Options) (sim.Config, error) {
 	s := opts.Sched
 	if s == nil {
 		if opts.Scheduler == "" {
-			return nil, fmt.Errorf("mlfs: no scheduler given")
+			return sim.Config{}, fmt.Errorf("mlfs: no scheduler given")
 		}
 		var err error
 		s, err = NewScheduler(opts.Scheduler, opts.SchedOpts)
 		if err != nil {
-			return nil, err
+			return sim.Config{}, err
 		}
 	}
 	src := opts.Source
@@ -234,7 +226,7 @@ func newSimulator(opts Options) (*sim.Simulator, error) {
 		tr := opts.Trace
 		if tr == nil {
 			if opts.Jobs <= 0 {
-				return nil, fmt.Errorf("mlfs: no trace, no source and no job count given")
+				return sim.Config{}, fmt.Errorf("mlfs: no trace, no source and no job count given")
 			}
 			dur := opts.TraceDurationSec
 			if dur <= 0 {
@@ -244,10 +236,9 @@ func newSimulator(opts Options) (*sim.Simulator, error) {
 		}
 		src = trace.NewSliceSource(tr)
 	}
-	return sim.New(sim.Config{
+	return sim.Config{
 		Cluster:             opts.clusterConfig(),
 		Source:              src,
-		FullRescan:          opts.FullRescan,
 		Scheduler:           s,
 		TickSec:             opts.TickSec,
 		HR:                  opts.HR,
@@ -259,7 +250,16 @@ func newSimulator(opts Options) (*sim.Simulator, error) {
 		Failures:            opts.Failures,
 		SnapshotEvery:       opts.SnapshotEvery,
 		SnapshotPath:        opts.SnapshotPath,
-	})
+	}, nil
+}
+
+// newSimulator builds the simulator simConfig describes.
+func newSimulator(opts Options) (*sim.Simulator, error) {
+	cfg, err := simConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	return sim.New(cfg)
 }
 
 // Run executes one simulation and returns the paper's metrics.
@@ -271,34 +271,13 @@ func Run(opts Options) (*Result, error) {
 	return simulator.Run()
 }
 
-// RoundScan re-exports the simulator's backlogged round-scan probe
-// result (see RoundScanBench).
-type RoundScan = sim.RoundScan
-
-// RoundScanBench builds the configured run, admits its entire workload
-// as a standing backlog, saturates the cluster with warm-up rounds, and
-// times scheduling rounds in which dirtyFrac of the live jobs is marked
-// dirty. It isolates the round's scan-and-rank cost — the component the
-// incremental dirty-set structure turns from O(backlog) into O(dirty) —
-// from the placement and migration work both modes share; run it once
-// with opts.FullRescan=false and once with true to compare the
-// incremental round against the full-rescan oracle on an identical
-// backlog (the probes' Placements checksums must match).
-func RoundScanBench(opts Options, dirtyFrac float64, rounds int) (RoundScan, error) {
-	simulator, err := newSimulator(opts)
-	if err != nil {
-		return RoundScan{}, err
-	}
-	return simulator.RoundScanBench(dirtyFrac, rounds)
-}
-
 // Resume continues a run from a snapshot written by a previous Run with
 // SnapshotEvery set, producing metrics bit-identical to the run that was
 // interrupted — provided opts describes the same run (same scheduler,
-// trace/Jobs/Seed and simulation parameters; FullRescan and the
-// snapshot options themselves may differ). A snapshot from a different
-// run fails with ErrSnapshotMismatch; unreadable or tampered bytes fail
-// with ErrSnapshotCorrupt (callers typically fall back to a fresh Run).
+// trace/Jobs/Seed and simulation parameters; the snapshot options
+// themselves may differ). A snapshot from a different run fails with
+// ErrSnapshotMismatch; unreadable or tampered bytes fail with
+// ErrSnapshotCorrupt (callers typically fall back to a fresh Run).
 func Resume(path string, opts Options) (*Result, error) {
 	payload, err := snapshot.ReadFile(path)
 	if err != nil {
@@ -322,6 +301,11 @@ func Resume(path string, opts Options) (*Result, error) {
 // CPUs; each run stays internally deterministic, so the overall result is
 // reproducible regardless of parallelism.
 func Compare(schedulers []string, jobCounts []int, base Options) (map[string][]*Result, error) {
+	for _, jc := range jobCounts {
+		if jc < 1 {
+			return nil, fmt.Errorf("mlfs: job count %d: want at least 1", jc)
+		}
+	}
 	type cell struct {
 		res *Result
 		err error
