@@ -37,10 +37,11 @@ type Predictor struct {
 }
 
 // fitState is everything Fit derives from the observation series for
-// one recency: the memo, the weight and basis caches and the running
-// sums the candidate proof reads. Observations are append-only, so each
-// cache only ever grows; a Recency change or SetObservations drops the
-// whole state.
+// one recency: the memo, the weight cache and the running sums the
+// candidate proof reads. Observations are append-only, so each cache
+// only ever grows; a Recency change or SetObservations drops the whole
+// state. The basis 1 − e^(−r·i) is not per job: it comes from the
+// shared table of basis.go.
 type fitState struct {
 	rec float64 // the recency every field below was built for
 
@@ -55,16 +56,16 @@ type fitState struct {
 	// vector {rec^0 … rec^(n-1)} is bit-identical to recomputing it.
 	pows []float64
 
-	// expf[ri][j] = 1 − e^(−fitRates[ri]·iters[j]): each term depends on
-	// the fixed grid and one observation, so it is computed once.
-	expf [][]float64
-
-	// Running sums over the observations folded so far (as many as
-	// expf[0] holds), weighted w_j = rec^(folded-1-j): num[ri] = Σw·acc·F
-	// and den[ri] = Σw·F² per rate, saa = Σw·acc². Folding one
-	// observation costs O(|rates|): s ← rec·s + term.
+	// Running sums over the first folded observations, weighted
+	// w_j = rec^(folded-1-j): num[ri] = Σw·acc·F and den[ri] = Σw·F² per
+	// rate, saa = Σw·acc². Folding one observation costs O(|rates|):
+	// s ← rec·s + term.
+	folded   int
 	num, den []float64
 	saa      float64
+	// maxIter is the largest folded iteration (0 if none is positive):
+	// sharedBasis.covering(maxIter) holds every basis term the fit reads.
+	maxIter int
 	// inDomain: every folded observation has acc ∈ {0} ∪ [minCertAcc, 1]
 	// and iteration ≥ 0, the domain certify's error bound covers.
 	inDomain bool
@@ -149,7 +150,7 @@ func (p *Predictor) Fit() (amax, rate, confidence float64, ok bool) {
 	for k := len(st.pows); k < n; k++ {
 		st.pows = append(st.pows, math.Pow(rec, float64(k)))
 	}
-	st.fold(p.iters, p.accs)
+	basis := st.fold(p.iters, p.accs)
 	// w_j = rec^(n-1-j), read out of the shared power table. The weight
 	// sum is the same for every rate, accumulated in the same order.
 	w := st.pows[:n]
@@ -163,7 +164,7 @@ func (p *Predictor) Fit() (amax, rate, confidence float64, ok bool) {
 		if certified && st.lo[ri] > cut {
 			continue // proven to lose to a certainly valid rate
 		}
-		a, sse, valid := fitRate(st.expf[ri][:n], w, p.accs, wsum)
+		a, sse, valid := fitRate(basis.rows[ri], r, p.iters, w, p.accs, wsum)
 		if valid && sse < bestSSE {
 			bestSSE, amax, rate = sse, a, r
 		}
@@ -184,17 +185,22 @@ func (p *Predictor) Fit() (amax, rate, confidence float64, ok bool) {
 	return amax, rate, confidence, true
 }
 
-// fitRate is the weighted least-squares fit at one grid rate with basis
-// F: the closed-form amax and the weighted mean squared error, or
-// valid == false when the rate is skipped (Σw·F² = 0 or amax outside
-// (0, 1.2]). Its expressions and summation order are the historical
-// ones; certify's error bound is stated about exactly this evaluation.
-func fitRate(F, w, accs []float64, wsum float64) (a, sse float64, valid bool) {
+// fitRate is the weighted least-squares fit at grid rate r, whose
+// basis row row (F_j = basisAt(row, r, iters[j])) comes from a table
+// covering every iteration: the closed-form amax and the weighted mean
+// squared error, or valid == false when the rate is skipped
+// (Σw·F² = 0 or amax outside (0, 1.2]). Its expressions and summation
+// order are the historical ones; certify's error bound is stated about
+// exactly this evaluation. The explicit float64 conversions round every
+// product, so no architecture fuses one into the following add.
+func fitRate(row []float64, r float64, iters []int, w, accs []float64, wsum float64) (a, sse float64, valid bool) {
 	n := len(accs)
+	iters, w = iters[:n], w[:n]
 	var num, den float64
 	for j := range accs {
-		num += w[n-1-j] * accs[j] * F[j]
-		den += w[n-1-j] * F[j] * F[j]
+		f := basisAt(row, r, iters[j])
+		num += float64(w[n-1-j] * accs[j] * f)
+		den += float64(w[n-1-j] * f * f)
 	}
 	if den == 0 {
 		return 0, 0, false
@@ -204,9 +210,9 @@ func fitRate(F, w, accs []float64, wsum float64) (a, sse float64, valid bool) {
 		return 0, 0, false
 	}
 	for j := range accs {
-		f := a * F[j]
+		f := float64(a * basisAt(row, r, iters[j]))
 		d := accs[j] - f
-		sse += w[n-1-j] * d * d
+		sse += float64(w[n-1-j] * d * d)
 	}
 	return a, sse / wsum, true
 }
@@ -214,7 +220,6 @@ func fitRate(F, w, accs []float64, wsum float64) (a, sse float64, valid bool) {
 func newFitState(rec float64) *fitState {
 	return &fitState{
 		rec:      rec,
-		expf:     make([][]float64, len(fitRates)),
 		num:      make([]float64, len(fitRates)),
 		den:      make([]float64, len(fitRates)),
 		lo:       make([]float64, len(fitRates)),
@@ -222,26 +227,31 @@ func newFitState(rec float64) *fitState {
 	}
 }
 
-// fold extends the basis cache and the running sums to every observation.
-func (st *fitState) fold(iters []int, accs []float64) {
-	n, rec, from := len(iters), st.rec, len(st.expf[0])
+// fold extends the running sums to every observation and returns a
+// basis table covering all of them.
+func (st *fitState) fold(iters []int, accs []float64) *basisTable {
+	n, rec, from := len(iters), st.rec, st.folded
+	accs = accs[:n]
 	for j := from; j < n; j++ {
 		acc := accs[j]
 		if iters[j] < 0 || !(acc == 0 || acc >= minCertAcc && acc <= 1) {
 			st.inDomain = false
 		}
-		st.saa = rec*st.saa + acc*acc
+		st.saa = float64(rec*st.saa) + float64(acc*acc)
+		st.maxIter = max(st.maxIter, iters[j])
 	}
+	basis := sharedBasis.covering(st.maxIter)
 	for ri, r := range fitRates {
-		col, num, den := st.expf[ri], st.num[ri], st.den[ri]
+		row, num, den := basis.rows[ri], st.num[ri], st.den[ri]
 		for j := from; j < n; j++ {
-			f := 1 - math.Exp(-r*float64(iters[j]))
-			col = append(col, f)
-			num = rec*num + accs[j]*f
-			den = rec*den + f*f
+			f := basisAt(row, r, iters[j])
+			num = float64(rec*num) + float64(accs[j]*f)
+			den = float64(rec*den) + float64(f*f)
 		}
-		st.expf[ri], st.num[ri], st.den[ri] = col, num, den
+		st.num[ri], st.den[ri] = num, den
 	}
+	st.folded = n
+	return basis
 }
 
 // Constants of the candidate proof (certify).

@@ -32,14 +32,14 @@ func mulABT(dst, a, b *Matrix, bias []float64, relu bool) {
 			for j, w0 := range b0 {
 				w1 := b1[j]
 				v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
-				s00 += w0 * v0
-				s01 += w1 * v0
-				s10 += w0 * v1
-				s11 += w1 * v1
-				s20 += w0 * v2
-				s21 += w1 * v2
-				s30 += w0 * v3
-				s31 += w1 * v3
+				s00 += float64(w0 * v0)
+				s01 += float64(w1 * v0)
+				s10 += float64(w0 * v1)
+				s11 += float64(w1 * v1)
+				s20 += float64(w0 * v2)
+				s21 += float64(w1 * v2)
+				s30 += float64(w0 * v3)
+				s31 += float64(w1 * v3)
 			}
 			if bias != nil {
 				b0v, b1v := bias[o], bias[o+1]
@@ -90,10 +90,10 @@ func mulABT(dst, a, b *Matrix, bias []float64, relu bool) {
 			x0, x1, x2, x3 := a0[:len(brow)], a1[:len(brow)], a2[:len(brow)], a3[:len(brow)]
 			var s0, s1, s2, s3 float64
 			for j, w := range brow {
-				s0 += w * x0[j]
-				s1 += w * x1[j]
-				s2 += w * x2[j]
-				s3 += w * x3[j]
+				s0 += float64(w * x0[j])
+				s1 += float64(w * x1[j])
+				s2 += float64(w * x2[j])
+				s3 += float64(w * x3[j])
 			}
 			if bias != nil {
 				bv := bias[o]
@@ -126,7 +126,7 @@ func mulABT(dst, a, b *Matrix, bias []float64, relu bool) {
 			x := arow[:len(brow)]
 			var s float64
 			for j, w := range brow {
-				s += w * x[j]
+				s += float64(w * x[j])
 			}
 			if bias != nil {
 				s += bias[o]

@@ -97,7 +97,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, w := range row {
-			s += w * x[j]
+			s += float64(w * x[j])
 		}
 		out[i] = s
 	}
@@ -115,7 +115,7 @@ func (m *Matrix) MulVecT(y []float64) []float64 {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		yi := y[i]
 		for j, w := range row {
-			out[j] += w * yi
+			out[j] += float64(w * yi)
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -207,7 +208,7 @@ func (n *Net) Backprop(x []float64, gradOut []float64, g *Grads) []float64 {
 			}
 			row := dw.Data[i*dw.Cols : (i+1)*dw.Cols]
 			for j, xj := range in {
-				row[j] += di * xj
+				row[j] += float64(di * xj)
 			}
 			g.DB[l][i] += di
 		}
@@ -260,16 +261,126 @@ func (a *Adam) Apply(n *Net, g *Grads) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	floor := a.skipFloor(c1, c2)
 	for l := range n.W {
-		for i, gv := range g.DW[l].Data {
-			a.mW[l].Data[i] = a.Beta1*a.mW[l].Data[i] + (1-a.Beta1)*gv
-			a.vW[l].Data[i] = a.Beta2*a.vW[l].Data[i] + (1-a.Beta2)*gv*gv
-			n.W[l].Data[i] -= a.LR * (a.mW[l].Data[i] / c1) / (math.Sqrt(a.vW[l].Data[i]/c2) + a.Eps)
-		}
-		for i, gv := range g.DB[l] {
-			a.mB[l][i] = a.Beta1*a.mB[l][i] + (1-a.Beta1)*gv
-			a.vB[l][i] = a.Beta2*a.vB[l][i] + (1-a.Beta2)*gv*gv
-			n.B[l][i] -= a.LR * (a.mB[l][i] / c1) / (math.Sqrt(a.vB[l][i]/c2) + a.Eps)
-		}
+		a.step(n.W[l].Data, a.mW[l].Data, a.vW[l].Data, g.DW[l].Data, c1, c2, floor)
+		a.step(n.B[l], a.mB[l], a.vB[l], g.DB[l], c1, c2, floor)
 	}
+}
+
+// step applies one Adam update to the parameters w with moments m, v
+// and gradient g, with the expressions and evaluation order of the
+// historical per-element loop:
+//
+//	m ← β1·m + (1−β1)·g
+//	v ← β2·v + (1−β2)·g·g
+//	w ← w − LR·(m/c1) / (√(v/c2) + ε)
+//
+// A weight whose gradient has been exactly zero for hundreds of steps
+// has a first moment that has decayed into the subnormals, where it
+// sticks (0.9·k·2^-1074 rounds back to k·2^-1074 for k ≤ 4). Go runs
+// without flush-to-zero, and on Intel CPUs a multiply or divide with a
+// subnormal operand takes a microcode assist (a multiply measured about
+// 60 ns on a 2-vCPU Xeon VM, against about 1 ns). Three shortcuts
+// remove those assists and leave every bit as it was:
+//
+//   - β1·m for a subnormal m is computed exactly in integer arithmetic
+//     (mulSubnormal) instead of by the FPU.
+//   - Once β1^t < 2^-54, c1 is exactly 1 and m/1 == m, so the division
+//     is dropped.
+//   - A parameter whose new first moment is subnormal or zero, and whose
+//     |w| is at least floor (see skipFloor), keeps its w: the update is
+//     provably less than half an ulp of w.
+func (a *Adam) step(w, m, v, g []float64, c1, c2, floor float64) {
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	ob1, ob2 := 1-b1, 1-b2
+	b1sig, b1exact := unitSignificand(b1)
+	m, v, g = m[:len(w)], v[:len(w)], g[:len(w)]
+	for i, gv := range g {
+		var bm float64
+		if mb := math.Float64bits(m[i]); mb&expMask == 0 && mb<<1 != 0 && b1exact {
+			bm = mulSubnormal(b1sig, mb)
+		} else {
+			bm = float64(b1 * m[i])
+		}
+		mi := bm + float64(ob1*gv)
+		vi := float64(b2*v[i]) + float64(ob2*gv*gv)
+		m[i], v[i] = mi, vi
+		if math.Abs(mi) < 0x1p-1022 && vi >= 0 && vi <= math.MaxFloat64 && math.Abs(w[i]) >= floor {
+			continue
+		}
+		q := mi
+		if c1 != 1 {
+			q = mi / c1
+		}
+		w[i] -= lr * q / (math.Sqrt(vi/c2) + eps)
+	}
+}
+
+// expMask selects the exponent bits of a float64: they are all zero
+// exactly for ±0 and the subnormals.
+const expMask = 0x7ff0000000000000
+
+// unitSignificand returns the 53-bit significand B of b, so that
+// b = B·2^-53, when 0.5 ≤ b < 1; ok is false for any other b.
+func unitSignificand(b float64) (sig uint64, ok bool) {
+	if !(b >= 0.5 && b < 1) {
+		return 0, false
+	}
+	return math.Float64bits(b)&(1<<52-1) | 1<<52, true
+}
+
+// mulSubnormal returns fl(b·m), bit for bit, for b = sig·2^-53 in
+// [0.5, 1) and m the subnormal or zero float with bits mb, without a
+// floating-point multiply. With m = ±k·2^-1074 (k < 2^52 its mantissa
+// field), the exact product is ±(sig·k/2^53)·2^-1074, and
+// sig·k/2^53 < k, so the result is again subnormal or zero, where the
+// floats are the multiples of 2^-1074: round-to-nearest-even of the
+// 105-bit integer sig·k at bit 53 gives the result's mantissa field q,
+// with q ≤ k. The sign is m's (b > 0), a zero result included.
+func mulSubnormal(sig, mb uint64) float64 {
+	hi, lo := bits.Mul64(sig, mb&^(1<<63))
+	q := hi<<11 | lo>>53
+	if rem := lo & (1<<53 - 1); rem > 1<<52 || rem == 1<<52 && q&1 == 1 {
+		q++
+	}
+	return math.Float64frombits(mb&(1<<63) | q)
+}
+
+// skipFloor returns the least |w| at which step may leave a parameter
+// with a subnormal or zero first moment m unchanged, or NaN (no |w|
+// qualifies) when the argument below does not apply.
+//
+// Let M = 2^-1022, so |m| < M, and let the update be
+// δ = fl(fl(LR·fl(m/c1)) / D) with D = fl(fl(√fl(v/c2)) + ε). For
+// ε > 0, c1 > 0, c2 > 0 and finite v ≥ 0 (step checks v): v/c2 ≥ 0, so
+// D ≥ fl(0 + ε) = ε. Rounding is monotone, so
+// |fl(m/c1)| ≤ fl(M/c1), |fl(LR·fl(m/c1))| ≤ fl(|LR|·fl(M/c1)) and
+// |δ| ≤ B = fl(fl(|LR|·fl(M/c1)) / ε). When c1 == 1 step uses m itself,
+// and |m| < M = fl(M/1) gives the same bound.
+//
+// Take floor = 2^56·B, exact as a power-of-two scaling when finite. If
+// B > 0 and |w| ≥ floor, then |δ| ≤ 2^-56·|w| < 2^-55·|w|. For a normal
+// w with 2^e ≤ |w| < 2^(e+1) that is |δ| < 2^(e-54), less than half the
+// smaller gap, 2^(e-53), between w and its neighbours; for a subnormal
+// w it is below 2^-1077, less than half of the uniform gap 2^-1074. So
+// the exact w − δ is nearer to w than to any other float, and
+// fl(w − δ) == w. If B == 0 then δ = ±0, and w − (±0) == w for every
+// w ≠ 0; the floor is raised to the least positive float to exclude
+// w = ±0 (where +0 − (+0) and −0 − (−0) give +0). An infinite w stays
+// infinite against a finite δ.
+//
+// Everything else takes the exact expression: ε ≤ 0 or NaN, c1 or c2 not
+// positive (β outside [0, 1)), a floor that overflows or is NaN (a huge
+// or NaN LR), a non-finite or negative v, and |w| below the floor.
+func (a *Adam) skipFloor(c1, c2 float64) float64 {
+	if !(a.Eps > 0 && c1 > 0 && c2 > 0) {
+		return math.NaN()
+	}
+	b := math.Abs(a.LR) * (0x1p-1022 / c1) / a.Eps
+	floor := b * 0x1p56
+	if !(floor <= math.MaxFloat64) {
+		return math.NaN()
+	}
+	return math.Max(floor, math.SmallestNonzeroFloat64)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // This file holds the backlogged round-scan probe behind the
@@ -19,6 +20,10 @@ import (
 type RoundScan struct {
 	// RoundSec is the mean wall-clock seconds per measured round.
 	RoundSec float64
+	// RoundMedianSec is the median wall-clock seconds of the measured
+	// rounds: one descheduled or GC-paused round moves the mean of a
+	// short probe but not the median.
+	RoundMedianSec float64
 	// Rounds is the number of measured rounds.
 	Rounds int
 	// Backlog is the number of live jobs forming the standing backlog
@@ -73,18 +78,27 @@ func (s *Simulator) RoundScanBench(dirtyFrac float64, rounds int) (RoundScan, er
 	}
 	backlog := len(s.active)
 	startSec, startRounds := s.counters.SchedSeconds, s.counters.SchedRounds
-	for r := 0; r < rounds; r++ {
+	times := make([]float64, rounds)
+	for r := range times {
 		for _, j := range s.active[:nDirty] {
 			s.ctx.MarkDirty(j)
 		}
+		before := s.counters.SchedSeconds
 		s.runScheduler()
+		times[r] = s.counters.SchedSeconds - before
 	}
 	measured := s.counters.SchedRounds - startRounds
+	sort.Float64s(times)
+	median := times[rounds/2]
+	if rounds%2 == 0 {
+		median = (times[rounds/2-1] + median) / 2
+	}
 	return RoundScan{
-		RoundSec:   (s.counters.SchedSeconds - startSec) / float64(measured),
-		Rounds:     measured,
-		Backlog:    backlog,
-		DirtyJobs:  nDirty,
-		Placements: s.counters.Placements,
+		RoundSec:       (s.counters.SchedSeconds - startSec) / float64(measured),
+		RoundMedianSec: median,
+		Rounds:         measured,
+		Backlog:        backlog,
+		DirtyJobs:      nDirty,
+		Placements:     s.counters.Placements,
 	}, nil
 }

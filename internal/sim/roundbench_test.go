@@ -43,8 +43,9 @@ func TestRoundScanBenchModesAgree(t *testing.T) {
 	if inc.Rounds != 3 || ora.Rounds != 3 {
 		t.Fatalf("measured rounds = %d/%d, want 3", inc.Rounds, ora.Rounds)
 	}
-	if inc.RoundSec <= 0 || ora.RoundSec <= 0 {
-		t.Fatalf("non-positive round time: %v / %v", inc.RoundSec, ora.RoundSec)
+	if inc.RoundSec <= 0 || ora.RoundSec <= 0 || inc.RoundMedianSec <= 0 || ora.RoundMedianSec <= 0 {
+		t.Fatalf("non-positive round time: mean %v / %v, median %v / %v",
+			inc.RoundSec, ora.RoundSec, inc.RoundMedianSec, ora.RoundMedianSec)
 	}
 }
 

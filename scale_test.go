@@ -114,7 +114,9 @@ func phillyScaleCell(b *testing.B, schedName string, servers, jobs int) {
 			res.Counters.Placements, oracle.Counters.Placements, res.Counters.Migrations, oracle.Counters.Migrations)
 	}
 
-	const backlogDirtyFrac, probeRounds = 0.01, 3
+	// Fifteen measured rounds: with three, one descheduled round moved a
+	// cell's backlog speedup by 3x between two runs of the same tree.
+	const backlogDirtyFrac, probeRounds = 0.01, 15
 	probe := func(fullRescan bool) sim.RoundScan {
 		rs, err := newSim(fullRescan).RoundScanBench(backlogDirtyFrac, probeRounds)
 		if err != nil {
@@ -139,6 +141,8 @@ func phillyScaleCell(b *testing.B, schedName string, servers, jobs int) {
 	b.ReportMetric(oc.SchedSeconds/float64(oc.SchedRounds)*1e6, "oracle-round-µs")
 	b.ReportMetric(backlog.RoundSec*1e6, "backlog-round-µs")
 	b.ReportMetric(backlogOracle.RoundSec*1e6, "backlog-oracle-round-µs")
+	b.ReportMetric(backlog.RoundMedianSec*1e6, "backlog-round-p50-µs")
+	b.ReportMetric(backlogOracle.RoundMedianSec*1e6, "backlog-oracle-round-p50-µs")
 	b.ReportMetric(float64(res.Jobs-c.Truncated-c.Rejected), "completed")
 	b.ReportMetric(float64(c.Truncated), "truncated")
 }
