@@ -67,10 +67,13 @@ serve-smoke:
 # primary's replication stream, the primary is killed cold mid-run, the
 # standby is promoted (explicitly and via -promote-on-loss) and takes
 # the rest of the load; the promoted run must equal the batch oracle
-# over its stitched journal. Backpressure and probe tests ride along —
-# the full overload/failover surface in one target.
+# over its stitched journal; a promoted standby's DELETE of a job whose
+# replicated cancel is not yet due journals and applies its own; every
+# job's status is equal on each recovery rung (snapshot, journal-only,
+# follower, old snapshot layout). Backpressure and probe tests ride
+# along — the full overload/failover surface in one target.
 failover:
-	$(GO) test -race ./internal/serve/ -run 'TestFailover|TestPromoteOnLoss|TestBackpressure|TestReadyz' -count=1 -v
+	$(GO) test -race ./internal/serve/ -run 'TestFailover|TestPromoteOnLoss|TestStatusParity|TestBackpressure|TestReadyz' -count=1 -v
 
 ci: vet lint test scale race
 

@@ -22,6 +22,7 @@ import (
 // version key. Never update the hash under an existing key.
 var snapverPinned = map[uint32]uint64{
 	7: 0x3c114978bc205022,
+	8: 0xa044390eaa4f2b66,
 }
 
 // TestSnapshotVersionGuard fails when the snapshot payload schema — the

@@ -90,6 +90,9 @@ type Tally struct {
 	DeadlineMet bool
 	AccMet      bool
 	Urgent      bool
+	// State is the job's final job.State (Finished, Stopped or Killed);
+	// a byte, so it rides in the struct's padding.
+	State uint8
 }
 
 // TallyOf reduces one finished job to its Result contribution.
@@ -104,6 +107,7 @@ func TallyOf(j *job.Job) Tally {
 		DeadlineMet: j.DeadlineMet(),
 		AccMet:      j.AccuracyMet(),
 		Urgent:      j.Urgency > UrgentThreshold,
+		State:       uint8(j.State),
 	}
 }
 

@@ -342,7 +342,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				msg: fmt.Sprintf("job requests %d GPUs but the cluster has %d", n, s.totalGPUs)}
 			return
 		}
-		if _, err := s.enqueue(rec); err != nil {
+		if err := s.commit(journalLine{Submit: &rec}, nil); err != nil {
 			herr = &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 			return
 		}
@@ -372,11 +372,11 @@ func (s *Server) statusOf(e *jobEntry) JobStatus {
 		Comm:            e.rec.Comm.String(),
 		Urgency:         e.rec.Urgency,
 		ArrivalSec:      e.rec.ArrivalSec,
-		CancelRequested: e.cancelRequested && !e.done,
+		CancelRequested: !e.done && e.cancelAt <= s.sim.Now(),
 	}
 	if e.done {
-		st.State = e.finalState.String()
-		if e.cancelled {
+		st.State = job.State(e.tally.State).String()
+		if e.cancelled() {
 			st.State = "cancelled"
 		}
 		st.WaitSec = e.tally.Wait
@@ -391,7 +391,7 @@ func (s *Server) statusOf(e *jobEntry) JobStatus {
 		st.State = "queued"
 		return st
 	}
-	j := s.liveJob(e)
+	j := s.sim.Job(e.simIndex)
 	if j == nil {
 		// Retired without a registry update — cannot happen while the
 		// retire hook is installed; report the safe minimum.
@@ -478,13 +478,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// Journal before applying, like a submission: an acknowledged
 		// cancel must be on disk before the client hears about it, or a
 		// crash would silently resurrect the job. Repeat DELETEs of a
-		// still-pending cancel are acknowledged without a second record.
-		if !e.cancelRequested {
-			if _, jerr := s.journalCancel(e); jerr != nil {
-				herr = &httpError{code: http.StatusInternalServerError, msg: jerr.Error()}
+		// still-pending cancel are acknowledged without a second record;
+		// a cancel stamped in the future (a promoted follower's
+		// replicated one, not yet due) is not pending yet, so this one
+		// journals and applies now.
+		if now := s.sim.Now(); !(e.cancelAt <= now) {
+			c := CancelRecord{JobID: id, AtSec: now}
+			if err := s.commit(journalLine{Cancel: &c}, nil); err != nil {
+				herr = &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 				return
 			}
-			s.applyCancel(e)
 		}
 		if !e.done {
 			// Not yet admitted (or mid-retry): the kill applies right

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -294,4 +296,71 @@ func TestPromoteOnLossSelfPromotes(t *testing.T) {
 		t.Fatalf("self-promoted readyz: status %d", code)
 	}
 	waitDrained(t, fts.URL, jobs+1)
+}
+
+// TestFailoverDeleteBeforeReplicatedCancelIsDue: a follower holds a
+// replicated cancel stamped ahead of its own clock when it is promoted.
+// That cancel is not pending yet, so a DELETE of the job journals a
+// second cancel stamped now and kills the job at once (200), and the
+// stitched journal still replays to the live result.
+func TestFailoverDeleteBeforeReplicatedCancelIsDue(t *testing.T) {
+	rec := trace.Generate(trace.GenConfig{Jobs: 1, Seed: 3}).Records[0]
+	rec.JobID, rec.ArrivalSec, rec.GPUs = 1, 0, 2
+	var lines [][]byte
+	for _, env := range []any{
+		map[string]any{"submit": rec},
+		map[string]any{"cancel": serve.CancelRecord{JobID: 1, AtSec: 600}},
+	} {
+		b, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, b)
+	}
+	// A primary whose clock stands at 0: the follower may run one tick
+	// past it, to 60, and no further.
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		from, _ := strconv.Atoi(r.URL.Query().Get("from"))
+		for _, l := range lines[min(from, len(lines)):] {
+			w.Write(append(l, '\n'))
+		}
+		json.NewEncoder(w).Encode(map[string]any{"horizon": 0.0, "next": len(lines)})
+	}))
+
+	cfg := testConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "follower.journal")
+	cfg.Timescale = 1 // once promoted, the next tick is a wall minute away
+	_, fts := startFollower(t, cfg, primary.URL)
+	waitReplicated(t, fts.URL, float64(len(lines)))
+	var st serve.JobStatus
+	deadline := time.Now().Add(30 * time.Second)
+	for doJSON(t, "GET", fts.URL+"/v1/jobs/1", "", &st); st.State != "running"; doJSON(t, "GET", fts.URL+"/v1/jobs/1", "", &st) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicated job never ran: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.CancelRequested {
+		t.Fatalf("cancel stamped 600 reads as requested at the follower's clock: %+v", st)
+	}
+	primary.Close()
+
+	if code := doJSON(t, "POST", fts.URL+"/v1/promote", "", nil); code != 200 {
+		t.Fatalf("promote: status %d", code)
+	}
+	if code := doJSON(t, "DELETE", fts.URL+"/v1/jobs/1", "", &st); code != 200 || st.State != "cancelled" {
+		t.Fatalf("DELETE after promotion: status %d, %+v; want 200 cancelled", code, st)
+	}
+	records, cancels, err := serve.ReadJournal(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || len(cancels) != 2 || cancels[0].AtSec != 600 || cancels[1].AtSec >= 600 {
+		t.Fatalf("journal holds %d records and cancels %+v; want the replicated cancel then one stamped now", len(records), cancels)
+	}
+	var live json.RawMessage
+	if code := doJSON(t, "GET", fts.URL+"/v1/result", "", &live); code != 200 {
+		t.Fatalf("result: status %d", code)
+	}
+	oracleMatches(t, cfg, live)
 }

@@ -21,12 +21,16 @@ import (
 //     job N, stamped with the simulation time T at which it was
 //     accepted.
 //
-// Snapshots only ever cover a prefix of the journal, so crash recovery
-// restores the snapshot and re-applies the journal tail — and with no
-// (readable) snapshot at all, replaying the whole journal from an
-// empty simulator reproduces the run, cancellations included: a
-// journaled cancel is re-applied once the replay clock reaches its
-// stamp, through the same code path a live DELETE takes.
+// A snapshot records how many envelopes it covers, so crash recovery
+// restores it and applies the rest of the journal — and with no
+// (readable) snapshot at all, applying the whole journal to an empty
+// simulator reproduces the run, cancellations included. Either way each
+// envelope goes through Server.apply, the path a live request takes, and
+// a cancel reaches Simulator.CancelAt, which applies it where the live
+// run did. Envelopes apply in journal order: a journal with a repeated
+// job id, an arrival before the previous one or a cancel before its
+// job's submission was not written by a live server, and recovery
+// refuses it, naming the line.
 //
 // Durability: by default every append is fsync'd (bufio flush + OS
 // write + f.Sync) before the acknowledging response, so an
@@ -47,19 +51,21 @@ const journalMaxLine = 8 << 20
 
 // CancelRecord is one journaled cancellation: the cancel of job JobID
 // was acknowledged at simulation time AtSec. Replays apply it at the
-// same point — immediately if the job is live when the clock reaches
-// AtSec, or the moment the simulator admits the job if the cancel
-// preceded admission (the 202 path).
+// same point (Simulator.CancelAt) — immediately if the job is live when
+// the clock reaches AtSec, or the moment the simulator admits the job
+// if the cancel preceded admission (the 202 path).
 type CancelRecord struct {
 	JobID int64   `json:"job"`
 	AtSec float64 `json:"at"`
 }
 
-// journalLine is the on-disk envelope: exactly one of the fields is
-// set per line.
+// journalLine is the on-disk envelope: exactly one of Submit and Cancel
+// is set per line. line is the 1-based journal line it was read from
+// (zero for an envelope not read from a file), for error messages.
 type journalLine struct {
 	Submit *trace.Record `json:"submit,omitempty"`
 	Cancel *CancelRecord `json:"cancel,omitempty"`
+	line   int
 }
 
 // journal appends acknowledged mutations to a JSONL file.
@@ -83,10 +89,10 @@ func openJournal(path string, sync bool) (*journal, error) {
 	return &journal{f: f, w: bufio.NewWriter(f), sync: sync}, nil
 }
 
-// appendRaw writes one pre-marshaled envelope line (no trailing
-// newline) and makes it durable before returning. The replication
-// apply path uses it so a follower's journal is byte-identical to the
-// primary's.
+// appendRaw writes one marshaled envelope line (no trailing newline)
+// and makes it durable before returning. A follower passes the
+// primary's line through unchanged, so its journal is byte-identical
+// to the primary's.
 func (j *journal) appendRaw(line []byte) error {
 	if j == nil {
 		return nil
@@ -107,30 +113,10 @@ func (j *journal) appendRaw(line []byte) error {
 }
 
 // marshalLine produces the canonical one-line encoding of an envelope
-// — the exact bytes appendSubmit/appendCancel write and the
-// replication stream carries.
+// — the exact bytes the server journals and the replication stream
+// carries.
 func marshalLine(line journalLine) ([]byte, error) {
 	return json.Marshal(line)
-}
-
-// appendSubmit journals one accepted submission and returns the
-// canonical line written (for the replication log).
-func (j *journal) appendSubmit(r trace.Record) ([]byte, error) {
-	b, err := marshalLine(journalLine{Submit: &r})
-	if err != nil {
-		return nil, err
-	}
-	return b, j.appendRaw(b)
-}
-
-// appendCancel journals one acknowledged cancellation and returns the
-// canonical line written.
-func (j *journal) appendCancel(c CancelRecord) ([]byte, error) {
-	b, err := marshalLine(journalLine{Cancel: &c})
-	if err != nil {
-		return nil, err
-	}
-	return b, j.appendRaw(b)
 }
 
 // Close flushes and closes the file.
@@ -187,7 +173,7 @@ func readJournalEnvelopes(path string) (envs []journalLine, torn int64, err erro
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var l journalLine
+		l := journalLine{line: line}
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return nil, 0, fmt.Errorf("serve: journal %s line %d: %w", path, line, err)
 		}

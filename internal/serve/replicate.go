@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -19,11 +18,11 @@ import (
 // a sequenced stream (GET /v1/replicate?from=<seq>); a follower
 // (Config.FollowURL) tails that stream, appends every envelope to its
 // own journal byte-for-byte, and applies it live through the exact
-// code path journal-replay recovery uses. The stream interleaves
-// horizon lines carrying the primary's simulation clock; the follower
-// never steps its simulator past the last horizon it has seen, which
-// is what makes the follower's run a paced journal replay rather than
-// a divergent second run:
+// code path a live request and journal-replay recovery use. The stream
+// interleaves horizon lines carrying the primary's simulation clock;
+// the follower never steps its simulator past the last horizon it has
+// seen, which is what makes the follower's run a paced journal replay
+// rather than a divergent second run:
 //
 //   - every envelope the primary appends after sequence N carries a
 //     stamp (submit arrival / cancel time) at or after the simulation
@@ -204,45 +203,17 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyReplicated applies one batch of replicated envelopes and the
-// horizon that followed them. Loop context. Each envelope takes the
-// journal-replay path a recovery would take: the raw line is appended
-// to the local journal byte-for-byte (then mirrored into the
-// replication log, so this follower can itself be tailed), submissions
-// flow into the live queue and registry, and cancellations are
-// scheduled at their stamped times.
+// horizon that followed them. Loop context. Each envelope takes the path
+// a live request takes (commit): the raw line is appended to the local
+// journal byte-for-byte, mirrored into the replication log (so this
+// follower can itself be tailed) and applied to the run.
 func (s *Server) applyReplicated(raws [][]byte, envs []journalLine, horizon float64, primarySeq int) error {
 	if !s.follower {
 		return nil // promoted mid-flight; drop the stale tail
 	}
 	for i, env := range envs {
-		if err := s.journal.appendRaw(raws[i]); err != nil {
-			s.runErr = fmt.Errorf("%w: %v", errJournal, err)
-			return s.runErr
-		}
-		s.rep.append(raws[i])
-		switch {
-		case env.Submit != nil:
-			rec := *env.Submit
-			if rec.ArrivalSec < s.queue.lastArrival() {
-				s.runErr = fmt.Errorf("serve: replicated arrival %g before stream tail %g — follower journal is not a prefix of the primary's",
-					rec.ArrivalSec, s.queue.lastArrival())
-				return s.runErr
-			}
-			s.queue.push(rec)
-			s.addEntry(rec)
-		case env.Cancel != nil:
-			c := *env.Cancel
-			e := s.entries[c.JobID]
-			if e == nil {
-				s.runErr = fmt.Errorf("serve: replicated cancel for unknown job %d", c.JobID)
-				return s.runErr
-			}
-			if !e.done && !e.cancelRequested {
-				s.futureCancels = append(s.futureCancels, futureCancel{e: e, at: c.AtSec})
-				sort.SliceStable(s.futureCancels, func(i, j int) bool {
-					return s.futureCancels[i].at < s.futureCancels[j].at
-				})
-			}
+		if err := s.commit(env, raws[i]); err != nil {
+			return err
 		}
 		s.repApplied++
 	}

@@ -5,14 +5,24 @@
 // snapshots.
 //
 // Concurrency model: exactly one goroutine — the event loop — owns the
-// simulator and every piece of run state (queue, job registry, pause
+// simulator and every piece of host state (queue, job registry, pause
 // flag). HTTP handlers never touch that state directly; they send
 // closures over a channel and wait for the loop to execute them
-// between simulation steps. That is what keeps the determinism
-// contracts intact: the simulator still sees a strictly serial stream
-// of (submission, tick, cancel) events, and replaying the journaled
-// stream through the batch simulator reproduces the service run
-// bit-for-bit (the serve-smoke test enforces it).
+// between simulation steps. The simulator owns all run state, pending
+// cancellations included (Simulator.CancelAt); the host only feeds it
+// journal envelopes, and one function (Server.apply) applies an
+// envelope, whether it came from a client, from the primary's
+// replication stream or from the journal at recovery. That is what
+// keeps the determinism contracts intact: the simulator sees a strictly
+// serial stream of (submission, tick, cancel) events, and replaying the
+// journal through the batch simulator (Oracle, a plain Run) reproduces
+// the service run bit-for-bit (the serve-smoke test enforces it).
+//
+// Recovery: a snapshot is the simulator state after the journal's first
+// N envelopes, plus N. Recovery applies those N envelopes to the
+// registry, restores the simulator, and applies the rest of the journal
+// through the live path; with no usable snapshot N is zero and the
+// whole journal replays through a fresh simulator.
 //
 // Determinism: the package is enrolled in the lint DeterministicPaths
 // registry (mapiter, noclock, sharedcapture), plus the repo-wide
@@ -31,7 +41,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,8 +60,9 @@ import (
 const serveHorizon = 1e15
 
 // serveStateVersion versions the service's own snapshot section (the
-// wrapper around the simulator payload).
-const serveStateVersion = 1
+// wrapper around the simulator payload). Version 1 carried a per-job
+// overlay; a snapshot in that layout degrades to journal replay.
+const serveStateVersion = 2
 
 // Default http.Server timeouts (Config zero values). Chosen so a
 // slowloris client cannot pin a connection indefinitely while leaving
@@ -121,7 +131,7 @@ type Config struct {
 	SnapshotPath  string
 	// JournalPath is the JSONL submission journal. Required for any
 	// durability: snapshots cover only a prefix of the journal and
-	// recovery re-enqueues the tail. Empty disables persistence.
+	// recovery applies the tail. Empty disables persistence.
 	JournalPath string
 
 	// StartPaused starts the loop with stepping suspended (POST
@@ -173,12 +183,19 @@ type jobEntry struct {
 	simIndex int
 	rec      trace.Record
 
-	cancelRequested bool
-	cancelled       bool
+	// cancelAt is the earliest stamp of a cancellation applied to the
+	// job, +Inf for none. The cancel counts as requested once the clock
+	// reaches it.
+	cancelAt float64
 
-	done       bool
-	finalState job.State
-	tally      metrics.Tally
+	done  bool
+	tally metrics.Tally // the final outcome, state included, once done
+}
+
+// cancelled reports whether the job ended through a cancellation: it
+// was killed, and a cancel stamped no later than its finish applied.
+func (e *jobEntry) cancelled() bool {
+	return e.done && job.State(e.tally.State) == job.Killed && e.cancelAt <= e.tally.Finish
 }
 
 // Info reports how a server came up.
@@ -234,19 +251,12 @@ type Server struct {
 	nextID    int64
 	totalGPUs int
 
-	paused         bool
-	stopping       bool
-	runErr         error
-	pendingCancels []*jobEntry
-	// futureCancels holds journal-recovered cancellations not yet
-	// re-applied: recovery collects every journaled cancel whose job the
-	// restored state shows neither finalised nor cancel-requested, and
-	// the loop re-applies each one — through the same path a live DELETE
-	// takes — once the replay clock reaches its stamp. Ordered by AtSec.
-	futureCancels []futureCancel
-	completed     int
-	cancelledN    int
-	snapshots     uint64
+	paused     bool
+	stopping   bool
+	runErr     error
+	completed  int
+	cancelledN int
+	snapshots  uint64
 
 	anchored bool
 	baseWall time.Time
@@ -267,12 +277,6 @@ type Server struct {
 
 	lastSnapTick int
 	startWall    time.Time
-}
-
-// futureCancel is one recovered cancellation awaiting its replay point.
-type futureCancel struct {
-	e  *jobEntry
-	at float64
 }
 
 // simConfig builds the simulator configuration the service runs — and,
@@ -296,10 +300,9 @@ func (c Config) simConfig(src trace.Source, s sched.Scheduler) sim.Config {
 
 // Oracle runs the batch simulator over a finished journal (typically
 // read back with ReadJournal) under the exact configuration a service
-// with the same Config ran live, and returns its final metrics.
-// Journaled cancellations are re-applied at the simulation times they
-// were acknowledged, through the same admitted-now-or-after-admission
-// rules the live event loop uses, so a run with cancellations replays
+// with the same Config ran live, and returns its final metrics. Each
+// journaled cancellation is handed to Simulator.CancelAt, which applies
+// it at the point the live run did, so a run with cancellations replays
 // bit-for-bit too. The serve-smoke test compares this against the live
 // /v1/result to prove the service preserved batch semantics.
 func Oracle(cfg Config, records []trace.Record, cancels []CancelRecord) (*metrics.Result, error) {
@@ -307,72 +310,23 @@ func Oracle(cfg Config, records []trace.Record, cancels []CancelRecord) (*metric
 	if err != nil {
 		return nil, err
 	}
-	src := &liveQueue{records: append([]trace.Record(nil), records...)}
-	siml, err := sim.New(cfg.simConfig(src, s))
+	siml, err := sim.New(cfg.simConfig(&liveQueue{records: append([]trace.Record(nil), records...)}, s))
 	if err != nil {
 		return nil, err
 	}
-	if len(cancels) == 0 {
-		// Plain workload: the batch Run loop, the exact code path the
-		// bit-identity argument names.
-		return siml.Run()
-	}
-
 	// SimIndex is stream order; a cancel names its job by id.
 	byID := make(map[int64]int, len(records))
 	for i, r := range records {
 		byID[r.JobID] = i
 	}
-	future := append([]CancelRecord(nil), cancels...)
-	sort.SliceStable(future, func(i, j int) bool { return future[i].AtSec < future[j].AtSec })
-	for _, c := range future {
-		if _, ok := byID[c.JobID]; !ok {
+	for _, c := range cancels {
+		i, ok := byID[c.JobID]
+		if !ok {
 			return nil, fmt.Errorf("serve: journal cancels unknown job %d", c.JobID)
 		}
+		siml.CancelAt(i, c.AtSec)
 	}
-	// cancelLive mirrors Server.liveJob + CancelJob: cancel the job if
-	// it is in the active set, no-op if it already retired.
-	cancelLive := func(simIndex int) {
-		for _, j := range siml.ActiveJobs() {
-			if j.SimIndex == simIndex {
-				siml.CancelJob(j)
-				return
-			}
-		}
-	}
-	var pending []int // admitted-later cancels, mirroring pendingCancels
-	for {
-		// Due cancels apply before the next step, exactly where the live
-		// loop applies a DELETE drained between steps.
-		for len(future) > 0 && future[0].AtSec <= siml.Now() {
-			i := byID[future[0].JobID]
-			future = future[1:]
-			if i >= siml.Consumed() {
-				pending = append(pending, i)
-			} else {
-				cancelLive(i)
-			}
-		}
-		progressed, err := siml.RunStep()
-		if err != nil {
-			return nil, err
-		}
-		// Deferred cancels fire right after the step that admitted their
-		// job, mirroring Server.applyPendingCancels.
-		keep := pending[:0]
-		for _, i := range pending {
-			if i >= siml.Consumed() {
-				keep = append(keep, i)
-			} else {
-				cancelLive(i)
-			}
-		}
-		pending = keep
-		if !progressed {
-			break
-		}
-	}
-	return siml.Finish(), nil
+	return siml.Run()
 }
 
 // ReadJournal loads a journal's submissions and cancellations
@@ -403,9 +357,7 @@ func New(cfg Config) (*Server, error) {
 		startedc: make(chan struct{}),
 		promotec: make(chan struct{}),
 		rep:      newRepLog(),
-		entries:  make(map[int64]*jobEntry),
 		paused:   cfg.StartPaused,
-		nextID:   1,
 		follower: cfg.FollowURL != "",
 	}
 	s.replicateWait = cfg.ReplicateWait
@@ -439,8 +391,6 @@ func New(cfg Config) (*Server, error) {
 		WriteTimeout:      timeoutOr(cfg.WriteTimeout, defaultWriteTimeout),
 		IdleTimeout:       timeoutOr(cfg.IdleTimeout, defaultIdleTimeout),
 	}
-	s.sim.SetRetireHook(s.onRetire)
-	s.sim.SetRoundTimingHook(s.onRound)
 	return s, nil
 }
 
@@ -451,45 +401,34 @@ func (s *Server) onRound(sec float64) { s.reg.observeDecision(sec) }
 
 // onRetire records a job's final outcome the instant the simulator
 // finalises it. Runs inside the simulation step, on the loop goroutine.
-func (s *Server) onRetire(j *job.Job) {
-	if j.SimIndex < 0 || j.SimIndex >= len(s.byIndex) {
+func (s *Server) onRetire(j *job.Job) { s.finalise(metrics.TallyOf(j)) }
+
+// finalise marks a retired job's entry done: the retire hook calls it
+// live, recovery once per tally of a restored snapshot.
+func (s *Server) finalise(t metrics.Tally) {
+	if t.SimIndex < 0 || t.SimIndex >= len(s.byIndex) {
 		return
 	}
-	e := s.byIndex[j.SimIndex]
+	e := s.byIndex[t.SimIndex]
 	if e.done {
 		return
 	}
-	e.done = true
-	e.finalState = j.State
-	e.tally = metrics.TallyOf(j)
+	e.done, e.tally = true, t
 	s.completed++
-	if e.cancelRequested && j.State == job.Killed {
-		e.cancelled = true
+	if e.cancelled() {
 		s.cancelledN++
 	}
 }
 
-// addEntry registers an accepted record in the service-side registry.
-func (s *Server) addEntry(rec trace.Record) *jobEntry {
-	e := &jobEntry{id: rec.JobID, simIndex: len(s.byIndex), rec: rec}
-	s.entries[e.id] = e
-	s.byIndex = append(s.byIndex, e)
-	if rec.JobID >= s.nextID {
-		s.nextID = rec.JobID + 1
-	}
-	return e
-}
-
-// recover rebuilds state from the journal and snapshot. Layering: the
-// journal is ground truth for the workload; the snapshot is a prefix
-// checkpoint of (simulator state + finalised-job overlay). A readable
-// snapshot resumes the run mid-flight and the journal tail —
-// submissions and cancellations alike — is re-applied behind it; an
-// unreadable or absent snapshot degrades to replaying the whole
-// journal through a fresh simulator, which loses wall-clock progress
-// but no acknowledged mutation. A snapshot that provably disagrees
-// with the journal (longer than it, or a workload fingerprint
-// mismatch) is an operator error and refuses to start.
+// recover rebuilds the run from the journal and snapshot. The journal
+// is ground truth for the workload; a snapshot is the simulator state
+// after the journal's first envelopes, and recovery applies the rest of
+// the journal behind it through the live apply path. An unreadable,
+// old-format or absent snapshot degrades to replaying the whole journal
+// through a fresh simulator, which loses wall-clock progress but no
+// acknowledged mutation. A snapshot that provably disagrees with the
+// journal (covering more envelopes than it holds, or a workload
+// fingerprint mismatch) is an operator error and refuses to start.
 func (s *Server) recover() error {
 	envs, torn, err := readJournalEnvelopes(s.cfg.JournalPath)
 	if err != nil {
@@ -501,8 +440,6 @@ func (s *Server) recover() error {
 		}
 		s.info.TornBytes = torn
 	}
-	records, cancels := splitEnvelopes(envs)
-	s.info.JournalRecords = len(records)
 
 	// Seed the replication log with the canonical line of every
 	// recovered envelope: a follower connecting with from=0 (or a stale
@@ -513,173 +450,166 @@ func (s *Server) recover() error {
 		if repLines[i], err = marshalLine(env); err != nil {
 			return err
 		}
+		if env.Submit != nil {
+			s.info.JournalRecords++
+		}
 	}
 	s.rep.seed(repLines)
 
-	var snapBytes []byte
-	if s.cfg.SnapshotPath != "" {
-		b, err := snapshot.ReadFile(s.cfg.SnapshotPath)
-		switch {
-		case err == nil:
-			snapBytes = b
-		case errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrVersion):
-			snapBytes = nil // degrade to journal replay
-		case isNotExist(err):
-			snapBytes = nil
-		default:
-			return err
-		}
-	}
-
-	if snapBytes != nil {
-		if err := s.restoreFrom(snapBytes, records); err != nil {
-			if errors.Is(err, snapshot.ErrMismatch) {
-				return err
-			}
-			// Undecodable wrapper: fall through to journal replay.
-			s.entries = make(map[int64]*jobEntry)
-			s.byIndex = nil
-			s.sim = nil
-		} else {
-			s.info.Resumed = true
-			s.info.CompletedRestored = s.completed
-			return s.scheduleRecoveredCancels(cancels)
-		}
-	}
-
-	// Fresh run: replay the full journal (possibly empty) through a new
-	// simulator. Every record carries its resolved arrival and assigned
-	// id, so the replay reproduces the original run's decisions — and
-	// every journaled cancel is re-applied at its stamped time.
-	sc, err := s.cfg.NewScheduler()
+	covered, payload, err := s.readSnapshot(len(envs))
 	if err != nil {
 		return err
 	}
-	s.queue = &liveQueue{records: records}
-	siml, err := sim.New(s.cfg.simConfig(s.queue, sc))
+	err = s.replay(envs, covered, payload)
+	if err != nil && payload != nil && !errors.Is(err, snapshot.ErrMismatch) {
+		// The payload did not restore: replay the whole journal instead.
+		err = s.replay(envs, 0, nil)
+	}
 	if err != nil {
-		return err
-	}
-	s.sim = siml
-	for _, rec := range records {
-		s.addEntry(rec)
-	}
-	if err := s.scheduleRecoveredCancels(cancels); err != nil {
 		return err
 	}
 	s.journal, err = openJournal(s.cfg.JournalPath, !s.cfg.NoJournalFsync)
 	return err
 }
 
-// scheduleRecoveredCancels queues every journaled cancellation the
-// recovered state does not already reflect: a cancel whose job is
-// finalised (the snapshot covered it) or already flagged (the
-// snapshot's pending-cancel overlay restored it) is done; anything
-// else is re-applied by the loop once the clock reaches its stamp.
-func (s *Server) scheduleRecoveredCancels(cancels []CancelRecord) error {
-	for _, c := range cancels {
-		e := s.entries[c.JobID]
-		if e == nil {
-			return fmt.Errorf("serve: journal cancels unknown job %d", c.JobID)
-		}
-		if e.done || e.cancelRequested {
-			continue
-		}
-		s.futureCancels = append(s.futureCancels, futureCancel{e: e, at: c.AtSec})
+// readSnapshot reads the snapshot wrapper: how many journal envelopes
+// the run had applied when it was cut, and the simulator payload. An
+// absent, corrupt or old-format snapshot yields no payload (recovery
+// then replays the journal); one covering more envelopes than the
+// journal holds is ErrMismatch.
+func (s *Server) readSnapshot(journaled int) (covered int, payload []byte, err error) {
+	if s.cfg.SnapshotPath == "" {
+		return 0, nil, nil
 	}
-	sort.SliceStable(s.futureCancels, func(i, j int) bool {
-		return s.futureCancels[i].at < s.futureCancels[j].at
-	})
+	b, err := snapshot.ReadFile(s.cfg.SnapshotPath)
+	switch {
+	case err == nil:
+	case errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrVersion) || isNotExist(err):
+		return 0, nil, nil
+	default:
+		return 0, nil, err
+	}
+	r := snapshot.NewReader(b)
+	if r.Int() != serveStateVersion {
+		return 0, nil, nil
+	}
+	covered = r.Int()
+	payload = []byte(r.String())
+	if r.Finish() != nil || covered < 0 {
+		return 0, nil, nil
+	}
+	if covered > journaled {
+		return 0, nil, fmt.Errorf("%w: snapshot covers %d journal envelopes but the journal holds %d — the journal lost data",
+			snapshot.ErrMismatch, covered, journaled)
+	}
+	return covered, payload, nil
+}
+
+// replay builds the run from scratch: a fresh simulator and registry,
+// the first covered envelopes applied, the simulator restored from
+// payload — which replaces all the simulator state those envelopes
+// touched, leaving their registry half — and the rest of the journal
+// applied behind it. A journal-only replay has covered 0 and no payload;
+// a fresh run is one over an empty journal.
+func (s *Server) replay(envs []journalLine, covered int, payload []byte) error {
+	sc, err := s.cfg.NewScheduler()
+	if err != nil {
+		return err
+	}
+	s.queue = &liveQueue{}
+	if s.sim, err = sim.New(s.cfg.simConfig(s.queue, sc)); err != nil {
+		return err
+	}
+	s.sim.SetRetireHook(s.onRetire)
+	s.sim.SetRoundTimingHook(s.onRound)
+	s.entries, s.byIndex, s.nextID = make(map[int64]*jobEntry), nil, 1
+	s.completed, s.cancelledN, s.lastSnapTick = 0, 0, 0
+	s.info.Resumed, s.info.CompletedRestored = false, 0
+	applyAll := func(envs []journalLine) error {
+		for _, env := range envs {
+			if err := s.apply(env); err != nil {
+				return fmt.Errorf("serve: journal %s line %d: %w", s.cfg.JournalPath, env.line, err)
+			}
+		}
+		return nil
+	}
+	if err := applyAll(envs[:covered]); err != nil {
+		return err
+	}
+	if payload != nil {
+		s.sim.SyncSourceTotal()
+		if err := s.sim.Restore(payload); err != nil {
+			return err
+		}
+		for _, t := range s.sim.Tallies() {
+			s.finalise(t)
+		}
+		s.lastSnapTick = s.sim.Tick()
+		s.info.Resumed, s.info.CompletedRestored = true, s.completed
+	}
+	return applyAll(envs[covered:])
+}
+
+// apply applies one durable journal envelope to the run. It is the one
+// place a submission enters the queue and registry and a cancellation
+// reaches the simulator, for a live request, a replicated envelope and
+// a recovered one alike. It refuses what a live server cannot journal:
+// a record that fails validation, a repeated job id, an arrival before
+// the stream tail, a cancel before its job's submission. Loop context
+// (or recovery, before the loop).
+func (s *Server) apply(env journalLine) error {
+	if rec := env.Submit; rec != nil {
+		if err := rec.Validate(); err != nil {
+			return fmt.Errorf("job %d: %w", rec.JobID, err)
+		}
+		if s.entries[rec.JobID] != nil {
+			return fmt.Errorf("job %d submitted twice", rec.JobID)
+		}
+		if tail := s.queue.lastArrival(); !s.queue.push(*rec) {
+			return fmt.Errorf("job %d arrives at %g, before the stream tail %g", rec.JobID, rec.ArrivalSec, tail)
+		}
+		e := &jobEntry{id: rec.JobID, simIndex: len(s.byIndex), rec: *rec, cancelAt: math.Inf(1)}
+		s.entries[e.id] = e
+		s.byIndex = append(s.byIndex, e)
+		s.nextID = max(s.nextID, rec.JobID+1)
+		return nil
+	}
+	c := env.Cancel
+	e := s.entries[c.JobID]
+	if e == nil {
+		return fmt.Errorf("cancel of job %d precedes its submission", c.JobID)
+	}
+	e.cancelAt = math.Min(e.cancelAt, c.AtSec)
+	s.sim.CancelAt(e.simIndex, c.AtSec)
 	return nil
 }
 
-// restoreFrom decodes the service snapshot wrapper and restores the
-// embedded simulator state against the journaled record prefix.
-func (s *Server) restoreFrom(snapBytes []byte, records []trace.Record) error {
-	r := snapshot.NewReader(snapBytes)
-	if v := r.Int(); v != serveStateVersion {
-		return fmt.Errorf("serve: snapshot wrapper version %d, want %d", v, serveStateVersion)
+// commit makes one envelope durable, then applies it: journal append
+// (flushed, and fsync'd by default), replication log, run. raw is the
+// line as the primary wrote it, so a follower's journal stays
+// byte-identical; nil marshals env. The journal-first order keeps the
+// artifacts consistent on an append failure — an envelope that never
+// reached the journal must not enter the run, or a later snapshot would
+// claim a prefix the journal does not hold — and losing the journal is
+// fatal to the recovery guarantees, so a failed append stops the run.
+func (s *Server) commit(env journalLine, raw []byte) error {
+	var err error
+	if raw == nil {
+		raw, err = marshalLine(env)
 	}
-	savedNextID := r.Int64()
-	nSnap := r.Int()
-	type finalRec struct {
-		id        int64
-		state     int
-		cancelled bool
+	if err == nil {
+		err = s.journal.appendRaw(raw)
 	}
-	finals := make([]finalRec, r.Len())
-	for i := range finals {
-		finals[i] = finalRec{id: r.Int64(), state: r.Int(), cancelled: r.Bool()}
-	}
-	pendingCancelIDs := make([]int64, r.Len())
-	for i := range pendingCancelIDs {
-		pendingCancelIDs[i] = r.Int64()
-	}
-	payload := r.String()
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	if nSnap > len(records) {
-		return fmt.Errorf("%w: snapshot covers %d submissions but the journal holds %d — the journal lost data",
-			snapshot.ErrMismatch, nSnap, len(records))
-	}
-
-	sc, err := s.cfg.NewScheduler()
 	if err != nil {
-		return err
+		s.runErr = fmt.Errorf("%w: %v", errJournal, err)
+		return s.runErr
 	}
-	s.queue = &liveQueue{records: records[:nSnap:nSnap]}
-	siml, err := sim.New(s.cfg.simConfig(s.queue, sc))
-	if err != nil {
-		return err
+	s.rep.append(raw)
+	if err := s.apply(env); err != nil {
+		s.runErr = fmt.Errorf("serve: journal line %d: %w", s.rep.len(), err)
+		return s.runErr
 	}
-	if err := siml.Restore([]byte(payload)); err != nil {
-		return err
-	}
-	s.sim = siml
-
-	for _, rec := range records[:nSnap] {
-		s.addEntry(rec)
-	}
-	// Finalised jobs: outcome numbers come from the simulator's own
-	// tallies, final states and cancel flags from the wrapper overlay.
-	for _, t := range siml.Tallies() {
-		if t.SimIndex < 0 || t.SimIndex >= len(s.byIndex) {
-			continue
-		}
-		e := s.byIndex[t.SimIndex]
-		e.done = true
-		e.finalState = job.Finished
-		e.tally = t
-		s.completed++
-	}
-	for _, f := range finals {
-		if e := s.entries[f.id]; e != nil && e.done {
-			e.finalState = job.State(f.state)
-			if f.cancelled {
-				e.cancelled = true
-				e.cancelRequested = true
-				s.cancelledN++
-			}
-		}
-	}
-	for _, id := range pendingCancelIDs {
-		if e := s.entries[id]; e != nil && !e.done {
-			e.cancelRequested = true
-			s.pendingCancels = append(s.pendingCancels, e)
-		}
-	}
-	if savedNextID > s.nextID {
-		s.nextID = savedNextID
-	}
-	// Re-enqueue the journal tail accepted after the snapshot was cut.
-	for _, rec := range records[nSnap:] {
-		s.queue.push(rec)
-		s.addEntry(rec)
-	}
-	s.lastSnapTick = siml.Tick()
-	s.journal, err = openJournal(s.cfg.JournalPath, !s.cfg.NoJournalFsync)
-	return err
+	return nil
 }
 
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
@@ -878,127 +808,20 @@ func (s *Server) tryStep() (progressed bool, nap time.Duration) {
 	return true, 0
 }
 
-// stepOnce runs one RunStep plus its service bookkeeping: recovered
-// cancels due at this point, deferred cancels, snapshot cadence.
-// Decision-latency telemetry streams out per round through the
-// simulator's round-timing hook (onRound) while the step runs.
+// stepOnce runs one RunStep — due cancellations apply inside it — then
+// the snapshot cadence. Decision-latency telemetry streams out per
+// round through the simulator's round-timing hook (onRound) while the
+// step runs.
 func (s *Server) stepOnce() {
-	s.applyFutureCancels()
 	if _, err := s.sim.RunStep(); err != nil {
 		s.runErr = err
 		return
 	}
-	s.applyPendingCancels()
 	if s.cfg.SnapshotEvery > 0 && s.sim.Tick()-s.lastSnapTick >= s.cfg.SnapshotEvery {
 		s.lastSnapTick = s.sim.Tick()
 		if err := s.persist(); err != nil {
 			s.runErr = fmt.Errorf("serve: snapshot: %w", err)
 		}
-	}
-}
-
-// applyPendingCancels cancels jobs whose DELETE arrived before they
-// were admitted, now that admission caught up with them.
-func (s *Server) applyPendingCancels() {
-	if len(s.pendingCancels) == 0 {
-		return
-	}
-	consumed := s.sim.Consumed()
-	var live map[int]*job.Job
-	keep := s.pendingCancels[:0]
-	for _, e := range s.pendingCancels {
-		if e.done {
-			continue
-		}
-		if e.simIndex >= consumed {
-			keep = append(keep, e)
-			continue
-		}
-		if live == nil {
-			live = make(map[int]*job.Job, len(s.sim.ActiveJobs()))
-			for _, j := range s.sim.ActiveJobs() {
-				live[j.SimIndex] = j
-			}
-		}
-		if j := live[e.simIndex]; j != nil {
-			s.sim.CancelJob(j) // the retire hook finalises the entry
-		}
-	}
-	s.pendingCancels = keep
-}
-
-// liveJob resolves an admitted, unfinalised entry to its job object.
-func (s *Server) liveJob(e *jobEntry) *job.Job {
-	for _, j := range s.sim.ActiveJobs() {
-		if j.SimIndex == e.simIndex {
-			return j
-		}
-	}
-	return nil
-}
-
-// enqueue commits an accepted record: journal first, then queue and
-// registry. The journal-first order is what keeps the artifacts
-// consistent on an append failure — a record that never reached the
-// journal must not enter the run, or a later snapshot would claim a
-// prefix the journal does not hold.
-func (s *Server) enqueue(rec trace.Record) (*jobEntry, error) {
-	if rec.ArrivalSec < s.queue.lastArrival() {
-		return nil, fmt.Errorf("serve: arrival %g before stream tail %g", rec.ArrivalSec, s.queue.lastArrival())
-	}
-	line, err := s.journal.appendSubmit(rec)
-	if err != nil {
-		// Losing journal durability is fatal for recovery guarantees:
-		// stop the run without admitting the record anywhere.
-		s.runErr = fmt.Errorf("%w: %v", errJournal, err)
-		return nil, s.runErr
-	}
-	s.rep.append(line)
-	s.queue.push(rec) // cannot fail: arrival order was checked above
-	return s.addEntry(rec), nil
-}
-
-// journalCancel commits an acknowledged cancellation to the journal,
-// stamped with the current simulation time. Same failure contract as
-// enqueue: an unjournaled cancel must not be applied.
-func (s *Server) journalCancel(e *jobEntry) (CancelRecord, error) {
-	c := CancelRecord{JobID: e.id, AtSec: s.sim.Now()}
-	line, err := s.journal.appendCancel(c)
-	if err != nil {
-		s.runErr = fmt.Errorf("%w: %v", errJournal, err)
-		return c, s.runErr
-	}
-	s.rep.append(line)
-	return c, nil
-}
-
-// applyCancel consumes an acknowledged cancellation for e: a live job
-// is killed immediately through the evict-to-checkpoint path, a
-// not-yet-admitted one is deferred until the simulator admits it.
-// Shared by the DELETE handler and the journal-replay path, so a
-// replayed cancel takes the exact route the live one took.
-func (s *Server) applyCancel(e *jobEntry) {
-	e.cancelRequested = true
-	if e.simIndex >= s.sim.Consumed() {
-		s.pendingCancels = append(s.pendingCancels, e)
-		return
-	}
-	if j := s.liveJob(e); j != nil {
-		s.sim.CancelJob(j) // the retire hook finalises the entry
-	}
-}
-
-// applyFutureCancels re-applies journal-recovered cancellations whose
-// stamped time the replay clock has reached. Runs before each step, the
-// same slot a live DELETE drained between steps occupies.
-func (s *Server) applyFutureCancels() {
-	for len(s.futureCancels) > 0 && s.futureCancels[0].at <= s.sim.Now() {
-		fc := s.futureCancels[0]
-		s.futureCancels = s.futureCancels[1:]
-		if fc.e.done || fc.e.cancelRequested {
-			continue // a live DELETE got there first
-		}
-		s.applyCancel(fc.e)
 	}
 }
 
@@ -1079,9 +902,9 @@ func wallSecondsFor(simSec, timescale float64) int {
 	return sec
 }
 
-// persist writes the service snapshot: wrapper (id cursor, covered
-// prefix length, finalised-job overlay, pending cancels) around the
-// full simulator payload. Atomic via snapshot.WriteFile.
+// persist writes the service snapshot: the wrapper version, the number
+// of journal envelopes the run has applied, and the full simulator
+// payload. Atomic via snapshot.WriteFile.
 func (s *Server) persist() error {
 	s.sim.SyncSourceTotal()
 	payload, err := s.sim.Snapshot()
@@ -1090,26 +913,7 @@ func (s *Server) persist() error {
 	}
 	w := snapshot.NewWriter()
 	w.Int(serveStateVersion)
-	w.Int64(s.nextID)
-	w.Int(s.queue.Len())
-	var done, pend []*jobEntry
-	for _, e := range s.byIndex { // byIndex order: deterministic
-		if e.done {
-			done = append(done, e)
-		} else if e.cancelRequested {
-			pend = append(pend, e)
-		}
-	}
-	w.Int(len(done))
-	for _, e := range done {
-		w.Int64(e.id)
-		w.Int(int(e.finalState))
-		w.Bool(e.cancelled)
-	}
-	w.Int(len(pend))
-	for _, e := range pend {
-		w.Int64(e.id)
-	}
+	w.Int(s.rep.len())
 	w.String(string(payload))
 	if err := snapshot.WriteFile(s.cfg.SnapshotPath, w.Bytes()); err != nil {
 		return err

@@ -239,6 +239,12 @@ type Simulator struct {
 
 	counters metrics.Counters
 
+	// Cancellations (cancel.go): cancelQueue holds the cancels stamped in
+	// the simulated future, stably by stamp; cancelDeferred the jobs
+	// cancelled before admission, in call order.
+	cancelQueue    []queuedCancel
+	cancelDeferred []int
+
 	// Round feedback handed to reward-driven schedulers. recentCompleted
 	// and recentSpare are double-buffered across rounds so the handoff
 	// never allocates.
@@ -339,15 +345,37 @@ func (s *Simulator) Run() (*metrics.Result, error) {
 	return s.Finish(), nil
 }
 
-// RunStep executes one iteration of the run loop: admit due arrivals,
-// quiescent-skip to the next event if the simulator is idle, then
-// execute one tick (or truncate at the horizon). It returns false when
-// the run has reached a stopping condition — no pending events, the
-// MaxSimSec horizon, or StopAtTick — and true when a tick executed and
-// another call may make progress. A false return is not terminal: if
-// new submissions appear on a live Source afterwards, calling RunStep
-// again resumes the run (that is how the online service idles).
+// RunStep executes one iteration of the run loop: apply the queued
+// cancels now due, admit due arrivals, quiescent-skip to the next event
+// if the simulator is idle, execute one tick (or truncate at the
+// horizon), then apply the deferred cancels of newly admitted jobs. It
+// returns false when the run has reached a stopping condition — no
+// pending events, the MaxSimSec horizon, or StopAtTick — and true when a
+// tick executed and another call may make progress. A false return is
+// not terminal: if new submissions appear on a live Source afterwards,
+// calling RunStep again resumes the run (that is how the online service
+// idles).
 func (s *Simulator) RunStep() (bool, error) {
+	s.fireDueCancels()
+	progressed, err := s.tickOnce()
+	s.fireAdmittedCancels()
+	if err != nil || !progressed {
+		return false, err
+	}
+	if s.cfg.SnapshotEvery > 0 && s.tick%s.cfg.SnapshotEvery == 0 {
+		if err := s.writeSnapshot(); err != nil {
+			return false, err
+		}
+	}
+	if s.cfg.StopAtTick > 0 && s.tick >= s.cfg.StopAtTick {
+		return false, nil
+	}
+	return true, nil
+}
+
+// tickOnce is RunStep's core: admission, the quiescent skip, then one
+// tick or the truncation at the horizon.
+func (s *Simulator) tickOnce() (bool, error) {
 	if err := s.admitArrivals(); err != nil {
 		return false, err
 	}
@@ -373,14 +401,6 @@ func (s *Simulator) RunStep() (bool, error) {
 	}
 	s.step(dt)
 	s.tick++
-	if s.cfg.SnapshotEvery > 0 && s.tick%s.cfg.SnapshotEvery == 0 {
-		if err := s.writeSnapshot(); err != nil {
-			return false, err
-		}
-	}
-	if s.cfg.StopAtTick > 0 && s.tick >= s.cfg.StopAtTick {
-		return false, nil
-	}
 	return true, nil
 }
 
@@ -1054,7 +1074,8 @@ func (s *Simulator) Cluster() *cluster.Cluster { return s.cl }
 // RunStep.
 
 // ActiveJobs returns the live (admitted, not yet finalised) jobs in
-// admission order. Callers must not mutate the slice or the jobs.
+// admission order, which is ascending SimIndex. Callers must not mutate
+// the slice or the jobs.
 func (s *Simulator) ActiveJobs() []*job.Job { return s.active }
 
 // Counters returns a copy of the run's event counters so far.

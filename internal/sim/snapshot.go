@@ -32,8 +32,8 @@ import (
 //
 // Per-job state is encoded as the retirement tallies plus the live set
 // — active jobs and the completed-feedback buffer, parked included
-// (parked ⊆ active) — keyed by SimIndex; only live jobs exist as
-// objects. Restore re-streams the source's first `pending` records to
+// (parked ⊆ active) — keyed by SimIndex, plus the two cancellation
+// queues (cancel.go); only live jobs exist as objects. Restore re-streams the source's first `pending` records to
 // rebuild exactly the live jobs (task-identity cursor included) and
 // drops the rest as they pass, so restore memory is O(live), not
 // O(total). The parked list is encoded with finished-while-parked jobs
@@ -70,6 +70,7 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	encodeJobList(w, s.active)
 	encodeJobList(w, s.livingParked())
 	encodeJobList(w, s.recentCompleted)
+	s.encodeCancels(w)
 	// Waiting-set membership only, in sorted task-id order: schedulers
 	// consume the queue through the sorted Context.Waiting() accessor, so
 	// map insertion order carries no information (proven by the
@@ -154,6 +155,16 @@ func (s *Simulator) Restore(payload []byte) error {
 		return err
 	}
 	if s.recentCompleted, err = decodeJobList(r, s.recentCompleted, byIndex); err != nil {
+		return err
+	}
+	// Job binary-searches the active set, which admission keeps in
+	// ascending SimIndex.
+	for k := 1; k < len(s.active); k++ {
+		if s.active[k].SimIndex <= s.active[k-1].SimIndex {
+			return snapshot.Corruptf("active job %d follows %d", s.active[k].SimIndex, s.active[k-1].SimIndex)
+		}
+	}
+	if err := s.decodeCancels(r); err != nil {
 		return err
 	}
 	n := r.Len()
@@ -472,6 +483,7 @@ func encodeTally(w *snapshot.Writer, t *metrics.Tally) {
 	w.Bool(t.DeadlineMet)
 	w.Bool(t.AccMet)
 	w.Bool(t.Urgent)
+	w.Int(int(t.State))
 }
 
 // decodeTally reads one retired job's metrics contribution.
@@ -487,7 +499,15 @@ func decodeTally(r *snapshot.Reader) (metrics.Tally, error) {
 	t.DeadlineMet = r.Bool()
 	t.AccMet = r.Bool()
 	t.Urgent = r.Bool()
-	return t, r.Err()
+	state := job.State(r.Int())
+	if err := r.Err(); err != nil {
+		return t, err
+	}
+	if state != job.Finished && state != job.Stopped && state != job.Killed {
+		return t, snapshot.Corruptf("tally of job %d has non-terminal state %d", t.SimIndex, state)
+	}
+	t.State = uint8(state)
+	return t, nil
 }
 
 // encodeJobList writes an ordered job set as SimIndexes (order matters:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mlfs"
+	"mlfs/internal/job"
 	"mlfs/internal/sim"
 	"mlfs/internal/snapshot"
 )
@@ -61,6 +62,60 @@ func realSnapshot(t testing.TB) (framed, payload []byte) {
 	return framed, payload
 }
 
+// cancelSnapshots produces seed payloads around the cancellation
+// queues: a real mid-run image holding a deferred cancel of an
+// unadmitted job and a queued future one, and two images edited through
+// the simulator's public views into states Restore must refuse — a
+// tally in a live state, and an active set out of SimIndex order.
+func cancelSnapshots(t testing.TB) (valid []byte, crafted [][]byte) {
+	t.Helper()
+	stepUntil := func(s *sim.Simulator, cond func() bool) {
+		for !cond() {
+			if more, err := s.RunStep(); err != nil || !more {
+				t.Fatalf("setup: run ended before the condition held (err %v)", err)
+			}
+		}
+	}
+	snap := func(s *sim.Simulator) []byte {
+		b, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	last := len(fuzzTrace().Records) - 1
+
+	s := fuzzSim(t)
+	stepUntil(s, func() bool { return len(s.ActiveJobs()) > 0 })
+	if s.Consumed() > last {
+		t.Fatal("setup: the last job is already admitted")
+	}
+	s.CancelAt(last, s.Now())
+	s.CancelAt(0, s.Now()+3600)
+	valid = snap(s)
+
+	s = fuzzSim(t)
+	stepUntil(s, func() bool { return len(s.Tallies()) > 0 })
+	s.Tallies()[0].State = uint8(job.Running)
+	crafted = append(crafted, snap(s))
+
+	s = fuzzSim(t)
+	stepUntil(s, func() bool { return len(s.ActiveJobs()) >= 2 })
+	a, b := s.ActiveJobs()[0], s.ActiveJobs()[1]
+	a.SimIndex, b.SimIndex = b.SimIndex, a.SimIndex
+	crafted = append(crafted, snap(s))
+
+	if err := fuzzSim(t).Restore(valid); err != nil {
+		t.Fatalf("the cancel-queue image does not restore: %v", err)
+	}
+	for i, b := range crafted {
+		if err := fuzzSim(t).Restore(b); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("crafted image %d: Restore = %v, want ErrCorrupt", i, err)
+		}
+	}
+	return valid, crafted
+}
+
 // snapshotErrTyped reports whether err belongs to the snapshot error
 // taxonomy callers are promised: corrupt, wrong version, or wrong run.
 func snapshotErrTyped(err error) bool {
@@ -74,7 +129,8 @@ func snapshotErrTyped(err error) bool {
 // state overlay (Restore) — asserting the contract the CLI degradation
 // path relies on: a typed error or success, never a panic, no matter
 // the input. The corpus seeds from a real mid-run snapshot with fault
-// injection active, plus truncations of it.
+// injection active, plus truncations of it, and from images around the
+// cancellation queues (cancelSnapshots).
 func FuzzSnapshotDecode(f *testing.F) {
 	framed, payload := realSnapshot(f)
 	f.Add(framed)
@@ -84,6 +140,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(payload[:len(payload)/3])
 	f.Add([]byte("MLFSSNAP"))
 	f.Add([]byte{})
+	valid, crafted := cancelSnapshots(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-len(valid)/4])
+	for _, b := range crafted {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Layer 1: the frame. Either a valid payload comes back or a

@@ -394,9 +394,11 @@ func parseRow(row []string) (Record, error) {
 
 // Validate rejects a record no submission can carry: a negative or
 // non-finite arrival, target fraction, data size, communication volume
-// or deadline slack, or a negative GPU count or urgency. Such values
-// feed the cost model unchecked — a negative communication volume makes
-// a job whose iterations never finish, holding its GPUs to the horizon.
+// or deadline slack, a negative GPU count or urgency, or an unknown
+// model family. Such values feed the cost model unchecked — a negative
+// communication volume makes a job whose iterations never finish,
+// holding its GPUs to the horizon, and an unknown family indexes past
+// the family table at materialisation.
 func (r Record) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -415,6 +417,9 @@ func (r Record) Validate() error {
 	}
 	if r.GPUs < 0 || r.Urgency < 0 {
 		return fmt.Errorf("gpus %d, urgency %d: want values >= 0", r.GPUs, r.Urgency)
+	}
+	if r.Family < 0 || r.Family >= learncurve.NumFamilies {
+		return fmt.Errorf("family %d: unknown", r.Family)
 	}
 	return nil
 }
