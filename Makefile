@@ -70,10 +70,11 @@ serve-smoke:
 # over its stitched journal; a promoted standby's DELETE of a job whose
 # replicated cancel is not yet due journals and applies its own; every
 # job's status is equal on each recovery rung (snapshot, journal-only,
-# follower, old snapshot layout). Backpressure and probe tests ride
-# along — the full overload/failover surface in one target.
+# follower, old snapshot layout). Backpressure, oversized-submit and
+# probe tests ride along — the full overload/failover surface in one
+# target.
 failover:
-	$(GO) test -race ./internal/serve/ -run 'TestFailover|TestPromoteOnLoss|TestStatusParity|TestBackpressure|TestReadyz' -count=1 -v
+	$(GO) test -race ./internal/serve/ -run 'TestFailover|TestPromoteOnLoss|TestStatusParity|TestBackpressure|TestOversizedSubmit|TestReadyz' -count=1 -v
 
 ci: vet lint test scale race
 

@@ -1,6 +1,7 @@
 // Command mlfs-loadgen drives a running mlfs-serve instance with a
-// seeded synthetic workload and reports submission throughput,
-// client-observed submit latency and server-reported decision latency.
+// seeded synthetic workload and prints what the run did: the counts,
+// the 429 sheds it absorbed and the drained run's result. It measures
+// no latency; perfbench's serve-mixed workload does (perfbench/README.md).
 //
 // The default (replay) mode pauses the server, submits the whole
 // generated trace with explicit arrival stamps, resumes, and waits for
@@ -11,7 +12,7 @@
 //
 //	mlfs-serve -scheduler mlfs -addr :8080 &
 //	mlfs-loadgen -url http://localhost:8080 -jobs 1000 -seed 1
-//	mlfs-loadgen -url http://localhost:8080 -jobs 500 -rps 200 -json results/BENCH_serve.json
+//	mlfs-loadgen -url http://localhost:8080 -jobs 500 -rps 200
 package main
 
 import (
@@ -26,14 +27,6 @@ import (
 	"mlfs/internal/loadgen"
 )
 
-// benchFile is the JSON document written by -json, following the
-// results/BENCH_*.json convention (generated_at + headline + entries).
-type benchFile struct {
-	GeneratedAt string            `json:"generated_at"`
-	Headline    string            `json:"headline"`
-	Entries     []*loadgen.Report `json:"entries"`
-}
-
 func main() {
 	var (
 		url      = flag.String("url", "http://localhost:8080", "mlfs-serve base URL")
@@ -42,7 +35,6 @@ func main() {
 		duration = flag.Float64("duration", 0, "trace arrival window in simulated seconds (default: scaled to the server's cluster)")
 		rps      = flag.Float64("rps", 0, "open-loop submissions per wall second (0 = replay mode: pause, submit all, resume, drain)")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "overall run timeout")
-		jsonOut  = flag.String("json", "", "write the report to this file (BENCH_serve.json format)")
 	)
 	flag.Parse()
 
@@ -62,7 +54,6 @@ func main() {
 		Jobs:        *jobs,
 		Seed:        *seed,
 		DurationSec: dur,
-		Open:        *rps > 0,
 		RPS:         *rps,
 		Timeout:     *timeout,
 	})
@@ -70,30 +61,10 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("mode %s: %d jobs in %.2fs wall (%.0f submissions/min)\n",
-		rep.Mode, rep.Submitted, rep.WallSeconds, rep.SubmissionsPerMin)
-	fmt.Printf("submit latency p50 %.3fms p99 %.3fms\n", rep.SubmitP50Ms, rep.SubmitP99Ms)
-	fmt.Printf("decision latency p50 %.3fms p99 %.3fms mean %.3fms over %d rounds\n",
-		rep.DecisionP50Ms, rep.DecisionP99Ms, rep.DecisionMeanMs, rep.DecisionRounds)
-	fmt.Printf("completed %d cancelled %d, %.1f simulated hours, avg JCT %.1f min\n",
-		rep.Completed, rep.Cancelled, rep.SimTimeSec/3600, rep.Result.AvgJCTSec/60)
-
-	if *jsonOut != "" {
-		doc := benchFile{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Headline: fmt.Sprintf("%s: %.0f submissions/min, decision p99 %.3f ms, submit p99 %.3f ms over %d jobs",
-				rep.Mode, rep.SubmissionsPerMin, rep.DecisionP99Ms, rep.SubmitP99Ms, rep.Jobs),
-			Entries: []*loadgen.Report{rep},
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
+	fmt.Printf("mode %s: submitted %d, completed %d, cancelled %d\n",
+		rep.Mode, rep.Submitted, rep.Completed, rep.Cancelled)
+	fmt.Printf("shed %d submissions, %.0fs waiting out Retry-After\n", rep.Shed, rep.RetryWaitSeconds)
+	fmt.Println(rep.Result)
 }
 
 // clusterGPUs asks the server how many GPUs it simulates.

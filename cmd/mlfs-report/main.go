@@ -102,12 +102,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	servePath := filepath.Join(*in, "BENCH_serve.json")
-	if _, err := os.Stat(servePath); err != nil {
-		servePath = ""
-	}
-	if len(paths) == 0 && servePath == "" {
-		fatal(fmt.Errorf("no TSV files or BENCH_serve.json in %s", *in))
+	if len(paths) == 0 {
+		fatal(fmt.Errorf("no TSV files in %s", *in))
 	}
 	sort.Strings(paths)
 	var filter map[string]bool
@@ -131,15 +127,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(table(fig))
-	}
-	// The service benchmark ships as JSON, not TSV: render it last,
-	// under the figure id "serve".
-	if servePath != "" && (filter == nil || filter["serve"]) {
-		sf, err := parseServeJSON(servePath)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(serveTable(sf))
 	}
 }
 

@@ -56,7 +56,7 @@ func TestDocsNameMakeTargets(t *testing.T) {
 		t.Fatalf("Makefile parse found %v, want at least ci and bench", targets)
 	}
 	makeCmd := regexp.MustCompile(`(?:^|[^\w-])make\s+([A-Za-z][\w.-]*)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "results/README.md"} {
+	for _, doc := range docs {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -72,19 +72,21 @@ func TestDocsNameMakeTargets(t *testing.T) {
 	}
 }
 
-// TestDocsNameDefinedFlags: every -flag the documents pass to an mlfs-*
-// command (a built binary or `go run ./cmd/mlfs-*`) in a code block or
-// span must be defined in that command's non-test sources, so deleting
-// a flag cannot leave a command behind that fails when copied.
-func TestDocsNameDefinedFlags(t *testing.T) {
+// docs are the documents the docs tests scan.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "results/README.md"}
+
+// cmdFlags returns the flags each cmd/mlfs-* command defines in its
+// non-test sources, keyed by command name.
+func cmdFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
 	defs := regexp.MustCompile(`\b(?:flag|fs)\.[A-Z]\w*\(\s*"([^"]+)"`)
 	cmds, err := filepath.Glob("cmd/mlfs-*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := make(map[string]map[string]bool) // command -> defined flags
+	flags := make(map[string]map[string]bool)
 	for _, dir := range cmds {
-		defined := map[string]bool{"h": true, "help": true} // the flag package's own
+		defined := make(map[string]bool)
 		srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -106,12 +108,24 @@ func TestDocsNameDefinedFlags(t *testing.T) {
 	if !flags["mlfs-bench"]["figure"] || !flags["mlfs-lint"]["checks"] {
 		t.Fatalf("flag scan found %v, want at least mlfs-bench -figure and mlfs-lint -checks", flags)
 	}
+	return flags
+}
+
+// TestDocsNameDefinedFlags: every -flag the documents pass to an mlfs-*
+// command (a built binary or `go run ./cmd/mlfs-*`) in a code block or
+// span must be defined in that command's non-test sources, so deleting
+// a flag cannot leave a command behind that fails when copied.
+func TestDocsNameDefinedFlags(t *testing.T) {
+	flags := cmdFlags(t)
+	for _, defined := range flags {
+		defined["h"], defined["help"] = true, true // the flag package's own
+	}
 	// A command name at a word or path boundary, then its arguments
 	// (continuation lines included) up to the first shell operator or
 	// comment.
 	invocation := regexp.MustCompile("(?:^|[\\s/`(])(mlfs-[a-z]+)[ \t]+([^|&;<>#`]*)")
 	flagArg := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "results/README.md"} {
+	for _, doc := range docs {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -130,5 +144,92 @@ func TestDocsNameDefinedFlags(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOperationsFlagTablesComplete: the flag table of OPERATIONS.md §1
+// lists exactly the flags mlfs-serve defines, and that of §7 exactly
+// those of mlfs-loadgen, so adding or deleting a flag without its row
+// fails. A row may name two flags (`-servers`, `-gpus`).
+func TestOperationsFlagTablesComplete(t *testing.T) {
+	b, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := cmdFlags(t)
+	for _, tc := range []struct{ section, cmd string }{
+		{"## 1. ", "mlfs-serve"},
+		{"## 7. ", "mlfs-loadgen"},
+	} {
+		listed := flagTable(t, string(b), tc.section)
+		defined := flags[tc.cmd]
+		for f := range defined {
+			if !listed[f] {
+				t.Errorf("OPERATIONS.md %q: %s defines -%s, which the table lacks", tc.section, tc.cmd, f)
+			}
+		}
+		for f := range listed {
+			if !defined[f] {
+				t.Errorf("OPERATIONS.md %q: the table lists -%s, which %s does not define", tc.section, f, tc.cmd)
+			}
+		}
+	}
+}
+
+// flagTable returns the flags named in the first column of the table
+// rows of the document section whose heading starts with section.
+func flagTable(t *testing.T, doc, section string) map[string]bool {
+	t.Helper()
+	_, body, ok := strings.Cut(doc, "\n"+section)
+	if !ok {
+		t.Fatalf("OPERATIONS.md has no section %q", section)
+	}
+	if end := strings.Index(body, "\n## "); end >= 0 {
+		body = body[:end]
+	}
+	flag := regexp.MustCompile("`-([A-Za-z][\\w-]*)`")
+	listed := make(map[string]bool)
+	for _, line := range strings.Split(body, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		for _, m := range flag.FindAllStringSubmatch(cells[1], -1) {
+			listed[m[1]] = true
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatalf("OPERATIONS.md %q: no flag table found", section)
+	}
+	return listed
+}
+
+// TestDocsNameCommittedResults: every results/<name> data file (.tsv,
+// .txt, .json, .log) the documents show as code must be committed, so
+// deleting an artifact cannot leave a citation of it behind. A range
+// such as `results/fig5a..h.tsv` is shorthand and not checked;
+// results/pprof/ is git-ignored profiler output and exempt.
+func TestDocsNameCommittedResults(t *testing.T) {
+	result := regexp.MustCompile(`(?:^|[^\w/])(results/(?:[\w-]+/)*[\w-]+\.(?:tsv|txt|json|log))\b`)
+	seen := 0
+	for _, doc := range docs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range codeSnippets(string(b)) {
+			for _, m := range result.FindAllStringSubmatch(code, -1) {
+				if strings.HasPrefix(m[1], "results/pprof/") {
+					continue
+				}
+				seen++
+				if _, err := os.Stat(m[1]); err != nil {
+					t.Errorf("%s: %q names %s, which is not committed", doc, strings.TrimSpace(code), m[1])
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("found no results/ citation in the documents; the pattern is broken")
 	}
 }

@@ -1,7 +1,8 @@
 // Package loadgen drives an mlfs-serve instance with a seeded
-// synthetic workload and measures service-side scheduling behaviour
-// from the outside: client-observed submission latency, server-reported
-// decision latency, and end-to-end throughput.
+// synthetic workload and reports what the run did. It measures no
+// latency or throughput: one serial client's timings hide the time a
+// request waits behind the one before it. perfbench's serve-mixed
+// workload measures the service.
 //
 // Two modes:
 //
@@ -13,15 +14,14 @@
 //     oracle's result for the same records — the parity check behind
 //     `make serve-smoke`.
 //
-//   - open (open loop): submissions are paced against the wall clock
-//     at -rps without pausing the server, arrival stamps assigned by
-//     the server. Measures the service under concurrent load; the
-//     workload is still journaled and replayable, but not precomputed.
+//   - open (open loop, RPS > 0): submissions are paced against the
+//     wall clock without pausing the server, arrival stamps assigned
+//     by the server. The workload is still journaled and replayable,
+//     but not precomputed.
 //
 // The package is a pure HTTP client of the service API — it shares no
-// state with internal/serve and imports nothing from it, so the
-// numbers it reports go through the same path an operator's tooling
-// would use.
+// state with internal/serve and imports nothing from it, so it drives
+// the same path an operator's tooling would use.
 package loadgen
 
 import (
@@ -29,12 +29,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"mlfs/internal/metrics"
 	"mlfs/internal/trace"
+)
+
+const (
+	// pollInterval is the drain-poll cadence.
+	pollInterval = 50 * time.Millisecond
+	// requestTimeout bounds each HTTP request.
+	requestTimeout = 30 * time.Second
 )
 
 // Config parameterises one load-generation run.
@@ -46,65 +52,34 @@ type Config struct {
 	Jobs        int
 	Seed        int64
 	DurationSec float64
-	// Open switches to open-loop mode; RPS is the wall-clock submission
-	// rate (required > 0 in open mode).
-	Open bool
-	RPS  float64
-	// PollInterval is the drain-poll cadence (default 50 ms).
-	PollInterval time.Duration
+	// RPS > 0 selects open-loop mode at RPS submissions per wall
+	// second; 0 selects replay mode.
+	RPS float64
 	// Timeout bounds the whole run (default 10 min).
 	Timeout time.Duration
-	// Client overrides the HTTP client (default: http.DefaultClient
-	// with the run timeout per request).
-	Client *http.Client
 }
 
-// Report is the measured outcome of one run, serialised into
-// results/BENCH_serve.json by cmd/mlfs-loadgen.
+// Report is what one run did.
 type Report struct {
-	Mode        string  `json:"mode"`
-	Jobs        int     `json:"jobs"`
-	Seed        int64   `json:"seed"`
-	DurationSec float64 `json:"trace_duration_sec"`
+	Mode        string
+	Jobs        int
+	Seed        int64
+	DurationSec float64
 
-	Submitted int `json:"submitted"`
-	Completed int `json:"completed"`
-	Cancelled int `json:"cancelled"`
+	Submitted int
+	Completed int
+	Cancelled int
 
-	WallSeconds       float64 `json:"wall_seconds"`
-	SubmitWallSeconds float64 `json:"submit_wall_seconds"`
-	SubmissionsPerMin float64 `json:"submissions_per_min"`
-
-	SubmitP50Ms float64 `json:"submit_p50_ms"`
-	SubmitP99Ms float64 `json:"submit_p99_ms"`
-
-	// Decision latency percentiles come from the server's
-	// mlfs_decision_latency_seconds histogram (linear interpolation
-	// within the matched bucket, the standard Prometheus estimate).
-	DecisionRounds int     `json:"decision_rounds"`
-	DecisionP50Ms  float64 `json:"decision_p50_ms"`
-	DecisionP99Ms  float64 `json:"decision_p99_ms"`
-	DecisionMeanMs float64 `json:"decision_mean_ms"`
-
-	SimTimeSec float64 `json:"sim_time_sec"`
-
-	// Backpressure: Shed counts the 429 responses this client absorbed
-	// (each submission is retried after the server's Retry-After until
-	// accepted); the Server* pair is the server's own
-	// mlfs_load_shed_total split by exceeded bound.
-	Shed                int     `json:"shed_submissions,omitempty"`
-	RetryWaitSeconds    float64 `json:"retry_wait_seconds,omitempty"`
-	ServerShedQueue     int     `json:"server_shed_queue,omitempty"`
-	ServerShedLookahead int     `json:"server_shed_lookahead,omitempty"`
-
-	// Replication (zero on a standalone primary): the served instance's
-	// lag behind its primary at drain time.
-	ReplicationLagRecords int     `json:"replication_lag_records,omitempty"`
-	ReplicationLagSeconds float64 `json:"replication_lag_seconds,omitempty"`
+	// Shed counts the 429 responses this client absorbed (each
+	// submission is retried after the server's Retry-After until
+	// accepted); RetryWaitSeconds is the wall time spent waiting them
+	// out.
+	Shed             int
+	RetryWaitSeconds float64
 
 	// Result is the drained server's /v1/result — in replay mode,
 	// comparable against the batch oracle for the same records.
-	Result *metrics.Result `json:"result"`
+	Result *metrics.Result
 }
 
 // Records generates the deterministic workload a run submits: exactly
@@ -161,14 +136,9 @@ type client struct {
 	http *http.Client
 }
 
-func (c *client) post(path string, body, out any) error {
-	var buf bytes.Buffer
-	if body != nil {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			return err
-		}
-	}
-	resp, err := c.http.Post(c.base+path, "application/json", &buf)
+// post sends a body-less POST (pause, resume).
+func (c *client) post(path string) error {
+	resp, err := c.http.Post(c.base+path, "application/json", nil)
 	if err != nil {
 		return err
 	}
@@ -179,9 +149,6 @@ func (c *client) post(path string, body, out any) error {
 		}
 		json.NewDecoder(resp.Body).Decode(&apiErr)
 		return fmt.Errorf("loadgen: POST %s: %s (%s)", path, resp.Status, apiErr.Error)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	return nil
 }
@@ -237,45 +204,13 @@ func (c *client) get(path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (c *client) getText(path string) (string, error) {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("loadgen: GET %s: %s", path, resp.Status)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
 // clusterView is the subset of /v1/cluster the generator reads.
 type clusterView struct {
-	Submitted  int     `json:"jobs_submitted"`
-	Queued     int     `json:"jobs_queued"`
-	Live       int     `json:"jobs_live"`
-	Completed  int     `json:"jobs_completed"`
-	Cancelled  int     `json:"jobs_cancelled"`
-	SimTimeSec float64 `json:"sim_time_sec"`
-	GPUs       int     `json:"gpus"`
-}
-
-// percentile returns the p-th percentile (0-100) of sorted samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := p / 100 * float64(len(sorted)-1)
-	lo := int(idx)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	Submitted int `json:"jobs_submitted"`
+	Queued    int `json:"jobs_queued"`
+	Live      int `json:"jobs_live"`
+	Completed int `json:"jobs_completed"`
+	Cancelled int `json:"jobs_cancelled"`
 }
 
 // Run executes one load-generation run against a live server.
@@ -286,22 +221,15 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.DurationSec <= 0 {
 		return nil, fmt.Errorf("loadgen: need a positive trace duration")
 	}
-	if cfg.Open && cfg.RPS <= 0 {
-		return nil, fmt.Errorf("loadgen: open-loop mode needs -rps > 0")
+	if cfg.RPS < 0 {
+		return nil, fmt.Errorf("loadgen: -rps must be >= 0")
 	}
+	open := cfg.RPS > 0
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 10 * time.Minute
 	}
-	poll := cfg.PollInterval
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
-	c := &client{base: cfg.BaseURL, http: hc}
+	c := &client{base: cfg.BaseURL, http: &http.Client{Timeout: requestTimeout}}
 
 	var health struct {
 		Status string `json:"status"`
@@ -315,7 +243,7 @@ func Run(cfg Config) (*Report, error) {
 
 	records := Records(cfg.Jobs, cfg.Seed, cfg.DurationSec)
 	mode := "replay"
-	if cfg.Open {
+	if open {
 		mode = "open"
 	}
 
@@ -326,17 +254,16 @@ func Run(cfg Config) (*Report, error) {
 	// with its generated arrival stamps before the first tick — the
 	// submitted stream is then byte-equal to the generated trace and
 	// the run has a batch oracle.
-	if !cfg.Open {
-		if err := c.post("/v1/pause", nil, nil); err != nil {
+	if !open {
+		if err := c.post("/v1/pause"); err != nil {
 			return nil, err
 		}
 	}
 
-	lat := make([]float64, 0, len(records))
 	shedTotal := 0
 	var retryWait time.Duration
 	for i, r := range records {
-		if cfg.Open {
+		if open {
 			// Pace against the wall clock; no arrival stamp, the server
 			// assigns live arrivals.
 			next := start.Add(time.Duration(float64(i) / cfg.RPS * float64(time.Second)))
@@ -344,25 +271,19 @@ func Run(cfg Config) (*Report, error) {
 				time.Sleep(d)
 			}
 		}
-		t0 := time.Now()
-		shed, waited, err := c.submit(bodyFor(r, !cfg.Open), deadline)
+		shed, waited, err := c.submit(bodyFor(r, !open), deadline)
 		shedTotal += shed
 		retryWait += waited
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: job %d: %w", i, err)
 		}
-		// Submission latency excludes backpressure waits: it measures
-		// the accepting round-trip, not the shed budget (reported
-		// separately).
-		lat = append(lat, (time.Since(t0) - waited).Seconds())
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("loadgen: timeout after %d/%d submissions", i+1, len(records))
 		}
 	}
-	submitWall := time.Since(start).Seconds()
 
-	if !cfg.Open {
-		if err := c.post("/v1/resume", nil, nil); err != nil {
+	if !open {
+		if err := c.post("/v1/resume"); err != nil {
 			return nil, err
 		}
 	}
@@ -379,29 +300,14 @@ func Run(cfg Config) (*Report, error) {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("loadgen: timeout draining: %d queued, %d live of %d", cv.Queued, cv.Live, cv.Submitted)
 		}
-		time.Sleep(poll)
+		time.Sleep(pollInterval)
 	}
-	wall := time.Since(start).Seconds()
 
 	var result metrics.Result
 	if err := c.get("/v1/result", &result); err != nil {
 		return nil, err
 	}
-	expo, err := c.getText("/metrics")
-	if err != nil {
-		return nil, err
-	}
-	dh, err := parseHistogram(expo, "mlfs_decision_latency_seconds")
-	if err != nil {
-		return nil, err
-	}
-	shedQueue, _ := parseValue(expo, `mlfs_load_shed_total{reason="queue"}`)
-	shedLook, _ := parseValue(expo, `mlfs_load_shed_total{reason="lookahead"}`)
-	lagRecords, _ := parseValue(expo, "mlfs_replication_lag_records")
-	lagSeconds, _ := parseValue(expo, "mlfs_replication_lag_seconds")
-
-	sort.Float64s(lat)
-	rep := &Report{
+	return &Report{
 		Mode:        mode,
 		Jobs:        cfg.Jobs,
 		Seed:        cfg.Seed,
@@ -411,29 +317,9 @@ func Run(cfg Config) (*Report, error) {
 		Completed: cv.Completed,
 		Cancelled: cv.Cancelled,
 
-		WallSeconds:       wall,
-		SubmitWallSeconds: submitWall,
-		SubmissionsPerMin: float64(len(records)) / submitWall * 60,
-
-		SubmitP50Ms: percentile(lat, 50) * 1e3,
-		SubmitP99Ms: percentile(lat, 99) * 1e3,
-
-		DecisionRounds: int(dh.count),
-		DecisionP50Ms:  dh.quantile(0.50) * 1e3,
-		DecisionP99Ms:  dh.quantile(0.99) * 1e3,
-		DecisionMeanMs: dh.mean() * 1e3,
-
-		SimTimeSec: cv.SimTimeSec,
-
-		Shed:                shedTotal,
-		RetryWaitSeconds:    retryWait.Seconds(),
-		ServerShedQueue:     int(shedQueue),
-		ServerShedLookahead: int(shedLook),
-
-		ReplicationLagRecords: int(lagRecords),
-		ReplicationLagSeconds: lagSeconds,
+		Shed:             shedTotal,
+		RetryWaitSeconds: retryWait.Seconds(),
 
 		Result: &result,
-	}
-	return rep, nil
+	}, nil
 }

@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -27,53 +25,5 @@ func TestRecordsDeterministic(t *testing.T) {
 		if a[i].ArrivalSec < a[i-1].ArrivalSec {
 			t.Fatalf("arrivals regress at %d: %g < %g", i, a[i].ArrivalSec, a[i-1].ArrivalSec)
 		}
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := percentile(samples, 50); got != 5.5 {
-		t.Errorf("p50 = %g, want 5.5", got)
-	}
-	if got := percentile(samples, 100); got != 10 {
-		t.Errorf("p100 = %g, want 10", got)
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("empty p50 = %g, want 0", got)
-	}
-}
-
-func TestParseHistogram(t *testing.T) {
-	expo := strings.Join([]string{
-		`# HELP mlfs_decision_latency_seconds Scheduler decision latency.`,
-		`# TYPE mlfs_decision_latency_seconds histogram`,
-		`mlfs_decision_latency_seconds_bucket{le="0.001"} 50`,
-		`mlfs_decision_latency_seconds_bucket{le="0.01"} 90`,
-		`mlfs_decision_latency_seconds_bucket{le="0.1"} 100`,
-		`mlfs_decision_latency_seconds_bucket{le="+Inf"} 100`,
-		`mlfs_decision_latency_seconds_sum 0.42`,
-		`mlfs_decision_latency_seconds_count 100`,
-		``,
-	}, "\n")
-	h, err := parseHistogram(expo, "mlfs_decision_latency_seconds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.count != 100 || h.sum != 0.42 {
-		t.Fatalf("count %d sum %g", h.count, h.sum)
-	}
-	// p50: rank 50 lands exactly on the 0.001 bucket boundary.
-	if got := h.quantile(0.50); math.Abs(got-0.001) > 1e-12 {
-		t.Errorf("p50 = %g, want 0.001", got)
-	}
-	// p99: rank 99 is 9/10 into the (0.01, 0.1] bucket.
-	if got, want := h.quantile(0.99), 0.01+0.09*0.9; math.Abs(got-want) > 1e-12 {
-		t.Errorf("p99 = %g, want %g", got, want)
-	}
-	if got := h.mean(); math.Abs(got-0.0042) > 1e-12 {
-		t.Errorf("mean = %g, want 0.0042", got)
-	}
-	if _, err := parseHistogram(expo, "no_such_series"); err == nil {
-		t.Error("missing series should error")
 	}
 }

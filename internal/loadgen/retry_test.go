@@ -11,7 +11,7 @@ import (
 
 // TestSubmitRetriesOn429 pins the generator's backpressure contract: a
 // 429 is not an error but a pacing signal — wait out Retry-After,
-// resubmit, and account the shed separately from submit latency.
+// resubmit, and account the sheds and the time spent waiting them out.
 func TestSubmitRetriesOn429(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -328,6 +328,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
+		// The probe below costs more than linearly in the GPU count, so
+		// refuse a count the cluster cannot hold before building it. A
+		// job uses gpus or gpus-1 GPUs (the mixed model-parallel split
+		// rounds an odd count down), so everything refused here the
+		// probe would refuse too.
+		if rec.GPUs > s.totalGPUs+1 {
+			herr = &httpError{code: http.StatusBadRequest,
+				msg: fmt.Sprintf("job requests %d GPUs but the cluster has %d", rec.GPUs, s.totalGPUs)}
+			return
+		}
 		// Materialise a probe copy to validate the record end to end and
 		// reject jobs the cluster can never place — the same check the
 		// simulator would apply, surfaced as a 400 instead of a tally.

@@ -154,6 +154,33 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmitRefusedFast: a GPU count far past the cluster is
+// refused before the loop materialises the job, whose cost grows faster
+// than linearly in the count, so one request cannot pin the event loop.
+// It answers 400 within a short deadline and journals nothing.
+func TestOversizedSubmitRefusedFast(t *testing.T) {
+	cfg := testConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "oversized.journal")
+	_, ts := startServer(t, cfg)
+
+	hc := &http.Client{Timeout: 5 * time.Second}
+	resp, err := hc.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"gpus": 200000}`))
+	if err != nil {
+		t.Fatalf("oversized submit: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized submit: status %d, want 400", resp.StatusCode)
+	}
+	records, cancels, err := serve.ReadJournal(cfg.JournalPath)
+	if err != nil {
+		t.Fatalf("ReadJournal: %v", err)
+	}
+	if len(records) != 0 || len(cancels) != 0 {
+		t.Fatalf("journal holds %d records and %d cancels, want none", len(records), len(cancels))
+	}
+}
+
 // TestReadyzAcrossRecovery exercises the readiness probe around a
 // restart: not ready before Start (recovery window), ready once the
 // loop runs, and the liveness probe stays 200 throughout the run.
