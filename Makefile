@@ -80,9 +80,10 @@ ci: vet lint test scale race
 
 # Micro-benchmarks of the simulator hot path (tick loop, iteration-cost
 # cache, demand wobble), the NN engine (batched scoring, imitation
-# updates, the in-situ MLF-RL scheduling round) and the MLF-C
-# learning-curve fit (grow-and-fit series, certified vs reference), with
-# allocation counts; then one pass of the end-to-end Figure-5 sweep
+# updates, the in-situ MLF-RL scheduling round), the MLF-C
+# learning-curve fit (grow-and-fit series, certified vs reference) and
+# MLF-H's relief rounds on 550 servers (ns per migration, zero
+# allocations), with allocation counts; then one pass of the end-to-end Figure-5 sweep
 # (eight schedulers on the 550-server cluster at 1/1000 job counts, its
 # mlfs avg JCT reported as a result fingerprint).
 bench:
@@ -90,6 +91,7 @@ bench:
 	$(GO) test ./internal/learncurve/ -run xxx -bench BenchmarkPredictorFitSeries -benchmem
 	$(GO) test ./internal/nn/ -run xxx -bench 'BenchmarkForwardBatch|BenchmarkImitationBatch' -benchmem
 	$(GO) test ./internal/core/mlfrl/ -run xxx -bench BenchmarkMLFRLTick -benchtime 3x -benchmem
+	$(GO) test ./internal/core/ -run xxx -bench BenchmarkMLFHRelieve -benchmem
 	$(GO) test -run xxx -bench BenchmarkFig5_LargeScale -benchtime 1x .
 
 # Philly-scale sweep: per-decision cost, peak heap, round telemetry and

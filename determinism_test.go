@@ -75,6 +75,59 @@ func TestResultFingerprints(t *testing.T) {
 	}
 }
 
+// paperSimFingerprints pins, like resultFingerprints, full mlfs runs
+// on the 550-server simulation cluster, where every MLF-H destination
+// choice (MLF-RL's imitation targets) and relief round scans hundreds of
+// candidates. The values were taken from the code that fit-checked every
+// candidate, took every distance in full and rescanned the underloaded
+// set before every migration (the reference in
+// internal/core/mlfhref_test.go), so they pin that the lazy fit checks,
+// the pruning and the maintained underloaded set change no bit.
+var paperSimFingerprints = map[string]string{
+	"mlfs/mttf=0":     "9feb8745a3faaab4",
+	"mlfs/mttf=14400": "c918bba2f3f85fa6",
+}
+
+// TestPaperSimFingerprints runs mlfs × {no faults, MTTF 4 h} at 300
+// jobs on the paper-sim cluster and requires each Result to hash to its
+// pinned fingerprint (amd64 only, as above).
+func TestPaperSimFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full 550-server simulations")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fingerprints are pinned for amd64 floating point")
+	}
+	for _, mttf := range []float64{0, 4 * 3600} {
+		mttf := mttf
+		key := fmt.Sprintf("mlfs/mttf=%.0f", mttf)
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			opts := Options{Scheduler: "mlfs", Preset: PaperSim, Jobs: 300, Seed: 3, SchedOpts: SchedulerOptions{Seed: 3}}
+			if mttf > 0 {
+				opts.Failures = FailureConfig{MTTFSec: mttf, MTTRSec: 600, Seed: 5}
+			}
+			res, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counters.Migrations == 0 || mttf > 0 && res.Counters.ServerFailures == 0 {
+				t.Fatalf("vacuous run: %d migrations, %d failures", res.Counters.Migrations, res.Counters.ServerFailures)
+			}
+			res.Counters.ZeroVolatile()
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			got := hex.EncodeToString(sum[:8])
+			if want := paperSimFingerprints[key]; got != want {
+				t.Fatalf("Result fingerprint %q, pinned %q: simulation results changed", got, want)
+			}
+		})
+	}
+}
+
 // TestFailureDeterminism pins that fault injection is a function of the
 // seeds alone: two identically seeded runs with failures enabled must
 // produce bit-identical Results, injected event sequence and every

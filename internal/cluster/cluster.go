@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -185,11 +187,18 @@ func (s *Server) NumDevices() int { return len(s.devices) }
 
 // Tasks returns placements on this server in ascending task order.
 func (s *Server) Tasks() []*Placement {
-	out := make([]*Placement, 0, len(s.tasks))
+	return s.TasksInto(make([]*Placement, 0, len(s.tasks)))
+}
+
+// TasksInto is Tasks reusing buf's storage (its contents are
+// discarded), so a scheduler round that reads a server's tasks per
+// migration victim allocates nothing.
+func (s *Server) TasksInto(buf []*Placement) []*Placement {
+	out := buf[:0]
 	for _, p := range s.tasks {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
+	slices.SortFunc(out, func(a, b *Placement) int { return cmp.Compare(a.Task, b.Task) })
 	return out
 }
 
@@ -355,6 +364,37 @@ func (c *Cluster) Lookup(t TaskRef) *Placement {
 // responsible for resolving it, matching the paper's model where servers
 // can become overloaded.
 func (c *Cluster) Place(t TaskRef, server, device int, demand Vec, gpuShare float64) error {
+	return c.place(&Placement{Task: t, Server: server, Device: device, Demand: demand, GPUShare: gpuShare})
+}
+
+// Move re-places placed task t on (server, device) with the given
+// demand. It is exactly Remove followed by Place — the same load
+// arithmetic and epoch bumps — and, when Place fails, a second Place
+// back where the task was, except that the task's Placement record is
+// reused instead of reallocated, so a migration allocates nothing.
+// Callers must not hold a Placement of t across a Move and expect its
+// old fields.
+func (c *Cluster) Move(t TaskRef, server, device int, demand Vec, gpuShare float64) error {
+	p := c.Remove(t)
+	if p == nil {
+		return fmt.Errorf("cluster: task %d is not placed", t)
+	}
+	old := *p
+	p.Server, p.Device, p.Demand, p.GPUShare = server, device, demand, gpuShare
+	if err := c.place(p); err != nil {
+		*p = old
+		if rbErr := c.place(p); rbErr != nil {
+			return fmt.Errorf("cluster: move rollback failed: %v (after %w)", rbErr, err)
+		}
+		return err
+	}
+	return nil
+}
+
+// place checks record p and, when it is valid, charges its demand and
+// indexes it: the body of Place and Move.
+func (c *Cluster) place(p *Placement) error {
+	t, server, device := p.Task, p.Server, p.Device
 	if _, ok := c.placements[t]; ok {
 		return fmt.Errorf("cluster: task %d already placed", t)
 	}
@@ -368,11 +408,10 @@ func (c *Cluster) Place(t TaskRef, server, device int, demand Vec, gpuShare floa
 	if device < 0 || device >= len(s.devices) {
 		return fmt.Errorf("cluster: device %d out of range on server %d", device, server)
 	}
-	p := &Placement{Task: t, Server: server, Device: device, Demand: demand, GPUShare: gpuShare}
-	s.used = s.used.Add(demand)
+	s.used = s.used.Add(p.Demand)
 	d := s.devices[device]
-	d.load += gpuShare
-	d.tasks[t] = gpuShare
+	d.load += p.GPUShare
+	d.tasks[t] = p.GPUShare
 	s.tasks[t] = p
 	c.placements[t] = p
 	s.bump()
@@ -601,15 +640,26 @@ func bitsEqual(a, b Vec) bool {
 // overloaded (on each resource and its least-loaded GPU) by hosting the
 // task" check (§3.3.2).
 func (c *Cluster) Fits(server, device int, demand Vec, gpuShare float64, hr float64) bool {
+	return c.fitsServer(server, demand, hr) && fitsDevice(c.servers[server].devices[device], gpuShare, hr)
+}
+
+// FitsLeastLoaded is Fits on the server's least-loaded device, the
+// device every chooser places on. The device is looked up only when
+// the server's resources fit, which is most of the cost of a probe
+// that fails.
+func (c *Cluster) FitsLeastLoaded(server int, demand Vec, gpuShare float64, hr float64) bool {
+	return c.fitsServer(server, demand, hr) && fitsDevice(c.servers[server].LeastLoadedDevice(), gpuShare, hr)
+}
+
+// fitsServer is the server half of Fits: up, and every resource at or
+// below hr after adding demand.
+func (c *Cluster) fitsServer(server int, demand Vec, hr float64) bool {
 	s := c.servers[server]
-	if !s.up {
-		return false
-	}
-	after := s.used.Add(demand).Div(s.capacity)
-	if after.AnyAbove(hr) {
-		return false
-	}
-	d := s.devices[device]
+	return s.up && !s.used.Add(demand).Div(s.capacity).AnyAbove(hr)
+}
+
+// fitsDevice is the device half of Fits.
+func fitsDevice(d *Device, gpuShare float64, hr float64) bool {
 	if d.capacity == 0 {
 		return gpuShare == 0
 	}
@@ -642,13 +692,18 @@ func (c *Cluster) AppendUnderloaded(dst []int, hr float64) []int {
 
 // Overloaded returns the indices of overloaded servers at threshold hr.
 func (c *Cluster) Overloaded(hr float64) []int {
-	var out []int
+	return c.AppendOverloaded(nil, hr)
+}
+
+// AppendOverloaded is Overloaded into a caller-provided slice, the
+// allocation-free form for per-round relief loops.
+func (c *Cluster) AppendOverloaded(dst []int, hr float64) []int {
 	for i, s := range c.servers {
 		if s.Overloaded(hr) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // OverloadDegree returns the cluster overload degree O_c, the mean of the

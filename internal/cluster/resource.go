@@ -7,7 +7,7 @@
 // simulator decides the interpretation (e.g. bandwidth in MB/s).
 //
 // Determinism and caching contract: server load state moves only through
-// epoch-bumping mutators (Place, Remove, UpdateDemand, FailServer,
+// epoch-bumping mutators (Place, Move, Remove, UpdateDemand, FailServer,
 // RepairServer), so the simulator's epoch-keyed iteration-cost caches
 // can trust a server's epoch for invalidation — the epochguard analyzer
 // enforces this mechanically. Fault injection (faults.go) draws from
@@ -107,7 +107,21 @@ func (v Vec) Norm() float64 {
 // RIAL-style ideal-virtual-server and ideal-virtual-task selections
 // (§3.3.2, §3.3.3).
 func (v Vec) Distance(w Vec) float64 {
-	return v.Sub(w).Norm()
+	return math.Sqrt(v.DistanceSq(w))
+}
+
+// DistanceSq returns ||v - w||², the exact radicand of Distance: a
+// caller comparing candidates can rank by it and take the square root
+// only for one that can win, with the same bits Distance would give.
+// Each product is rounded before the add (no fused multiply-add on any
+// architecture).
+func (v Vec) DistanceSq(w Vec) float64 {
+	var s float64
+	for i := range v {
+		d := v[i] - w[i]
+		s += float64(d * d)
+	}
+	return s
 }
 
 // Max returns the largest element of v.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"mlfs/internal/cluster"
@@ -42,11 +43,60 @@ type MLFH struct {
 	eng *PriorityEngine //mlfs:derived rebuilt from scratch after restore
 
 	// Round scratch, reused so steady-state rounds allocate nothing.
-	scored  []scoredJob //mlfs:derived scratch: priority-ordered pending jobs
-	taskBuf []*job.Task //mlfs:derived scratch: one job's queued tasks
-	fitBuf  []int       //mlfs:derived scratch: candidates passing the fit check
-	commBuf []float64   //mlfs:derived scratch: per-candidate communication volumes
-	volBuf  []float64   //mlfs:derived scratch: per-server communication volumes
+	scored   []scoredJob          //mlfs:derived scratch: priority-ordered pending jobs
+	taskBuf  []*job.Task          //mlfs:derived scratch: one job's queued tasks
+	fitState []fitState           //mlfs:derived scratch: per-candidate memo of the fit check
+	volBuf   []float64            //mlfs:derived scratch: per-server communication volumes
+	overBuf  []int                //mlfs:derived scratch: the round's overloaded servers
+	under    sched.UnderloadedSet //mlfs:derived scratch: the relief round's destinations
+	tried    []job.TaskID         //mlfs:derived scratch: victims tried on one overloaded server
+	plBuf    []*cluster.Placement //mlfs:derived scratch: one server's placements
+	vicBuf   []victim             //mlfs:derived scratch: migration-victim candidates
+	eligible []victim             //mlfs:derived scratch: priority-sorted migration-eligible victims
+}
+
+// fitState memoises Cluster.Fits for one candidate of one ChooseServer
+// call: the check runs at most once, and only where it can change the
+// answer.
+type fitState uint8
+
+const (
+	fitUnknown fitState = iota
+	fitNo
+	fitYes
+)
+
+// victim is one migration candidate of SelectMigrationTask: a task on
+// the overloaded server with its placement, its utilisation of the
+// server and its communication volume with the server's other tasks.
+type victim struct {
+	t    *job.Task
+	p    *cluster.Placement
+	u    cluster.Vec
+	comm float64
+}
+
+// sortVictims orders victims by (priority asc, task id asc), stably —
+// the lowest priorities are the p_s fraction eligible for migration.
+// The three-way comparator answers "less" exactly when the two-way
+// one does, so the order is the one sort.SliceStable gave.
+func sortVictims(vs []victim, prios *Priorities) {
+	less := func(a, b victim) bool {
+		pa, pb := prios.Of(a.t), prios.Of(b.t)
+		if pa != pb {
+			return pa < pb
+		}
+		return a.t.ID < b.t.ID
+	}
+	slices.SortStableFunc(vs, func(a, b victim) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // scoredJob pairs a job with its queue-ordering priority.
@@ -287,50 +337,58 @@ func commVolumesInto(ctx *sched.Context, t *job.Task, vol []float64) []float64 {
 }
 
 // ChooseServer is the RIAL-style ideal-virtual-server selection of
-// §3.3.2: build the ideal vector (per-resource minima over underloaded
-// servers, maximal task communication affinity, zero movement
-// degradation) and pick the candidate closest to it that fits.
+// §3.3.2: build the ideal vector (per-resource minima over fitting
+// candidates, maximal task communication affinity, zero movement
+// degradation) and pick the first candidate, in candidate order,
+// closest to it that fits.
+//
+// Each pass walks the candidates in order but checks Cluster.Fits only
+// where the answer can change (DESIGN.md, "Lazy fit checks"): pass 1
+// for a candidate that would lower some component of the running
+// ideal, pass 2 for one that would raise the running maximum volume,
+// pass 3 for one whose distance beats the running best. A non-fitting
+// candidate never contributes, so each pass ends where the full
+// fit-filtered pass would. Pass 3 also skips both square roots of a
+// candidate whose squared distance and affinity gap are no smaller than
+// the best's: the distance is monotone in both, so it cannot win under
+// the strict <.
 func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (int, int, bool) {
-	// Ideal utilisation components: minimum across candidates.
+	if cap(m.fitState) < len(candidates) {
+		m.fitState = make([]fitState, len(candidates))
+	}
+	m.fitState = m.fitState[:len(candidates)]
+	clear(m.fitState)
+	// Ideal utilisation components: minimum across fitting candidates.
+	// Utilisations are finite, so the first fitting candidate always
+	// lowers the all-+Inf start: found is false only when none fits.
 	var ideal cluster.Vec
 	for r := range ideal {
 		ideal[r] = math.Inf(1)
 	}
-	fit := m.fitBuf[:0]
-	for _, si := range candidates {
-		s := ctx.Cluster.Server(si)
-		dev := s.LeastLoadedDevice()
-		if !ctx.Cluster.Fits(si, dev.ID(), t.Demand, t.GPUShare, ctx.HR) {
+	found := false
+	for i, si := range candidates {
+		u := ctx.Cluster.Server(si).Utilization()
+		if !lowersAny(u, ideal) || !m.fits(ctx, t, i, si) {
 			continue
 		}
-		fit = append(fit, si)
-		u := s.Utilization()
+		found = true
 		for r := range ideal {
 			if u[r] < ideal[r] {
 				ideal[r] = u[r]
 			}
 		}
 	}
-	m.fitBuf = fit
-	if len(fit) == 0 {
+	if !found {
 		return 0, 0, false
 	}
-	// Communication affinity: ideal is the maximum volume any candidate
-	// offers.
-	if cap(m.commBuf) < len(fit) {
-		m.commBuf = make([]float64, len(fit))
-	}
-	comms := m.commBuf[:len(fit)]
-	for i := range comms {
-		comms[i] = 0
-	}
+	// Communication affinity: ideal is the maximum volume any fitting
+	// candidate offers.
 	var maxComm float64
 	if !m.DisableBandwidth {
 		m.volBuf = commVolumesInto(ctx, t, m.volBuf)
-		for i, si := range fit {
-			comms[i] = m.volBuf[si]
-			if comms[i] > maxComm {
-				maxComm = comms[i]
+		for i, si := range candidates {
+			if m.volBuf[si] > maxComm && m.fits(ctx, t, i, si) {
+				maxComm = m.volBuf[si]
 			}
 		}
 	}
@@ -339,26 +397,59 @@ func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (
 		bwWeight = 2
 	}
 	best, bestDist := -1, math.Inf(1)
-	for i, si := range fit {
-		u := ctx.Cluster.Server(si).Utilization()
-		d := u.Distance(ideal)
+	bestSq, bestGap := math.Inf(1), math.Inf(1)
+	for i, si := range candidates {
+		sq := ctx.Cluster.Server(si).Utilization().DistanceSq(ideal)
+		var gap float64
 		if maxComm > 0 {
 			// Extra dimension: distance from the ideal (max) affinity.
-			gap := bwWeight * (maxComm - comms[i]) / maxComm
+			// Negative only for a non-fitting candidate above maxComm,
+			// which the prune below never skips.
+			gap = bwWeight * (maxComm - m.volBuf[si]) / maxComm
+		}
+		if sq >= bestSq && gap >= bestGap {
+			continue
+		}
+		d := math.Sqrt(sq)
+		if maxComm > 0 {
 			d = math.Sqrt(d*d + gap*gap)
 		}
 		// Movement degradation q_{k,V} is zero for queue placements and
 		// identical across destinations for migrations, so it does not
 		// enter the distance here.
-		if d < bestDist {
-			best, bestDist = si, d
+		if d < bestDist && m.fits(ctx, t, i, si) {
+			best, bestDist, bestSq, bestGap = si, d, sq, gap
 		}
 	}
 	return best, ctx.Cluster.Server(best).LeastLoadedDevice().ID(), true
 }
 
+// lowersAny reports whether some component of u is below ideal's.
+func lowersAny(u, ideal cluster.Vec) bool {
+	for r := range u {
+		if u[r] < ideal[r] {
+			return true
+		}
+	}
+	return false
+}
+
+// fits is Cluster.Fits of t on candidate i (server si)'s least-loaded
+// device, memoised for the current ChooseServer call.
+func (m *MLFH) fits(ctx *sched.Context, t *job.Task, i, si int) bool {
+	if m.fitState[i] == fitUnknown {
+		m.fitState[i] = fitNo
+		if ctx.Cluster.FitsLeastLoaded(si, t.Demand, t.GPUShare, ctx.HR) {
+			m.fitState[i] = fitYes
+		}
+	}
+	return m.fitState[i] == fitYes
+}
+
 // relieveOverloads walks the overloaded servers and moves out
-// ideal-virtual-task selections until each is relieved (§3.3.3).
+// ideal-virtual-task selections until each is relieved (§3.3.3). The
+// destinations are drawn from one underloaded set per round, re-tested
+// only where a migration changed the load (sched.UnderloadedSet).
 //
 // Deviation from the paper, documented in DESIGN.md: when no underloaded
 // destination exists the paper moves the victim back to the queue. Under
@@ -371,27 +462,29 @@ func (m *MLFH) relieveOverloads(ctx *sched.Context, prios *Priorities) {
 	if maxMig <= 0 {
 		maxMig = 4
 	}
-	for _, si := range ctx.Cluster.Overloaded(ctx.HR) {
-		tried := make(map[job.TaskID]bool)
+	m.overBuf = ctx.Cluster.AppendOverloaded(m.overBuf[:0], ctx.HR)
+	m.under.Reset(ctx)
+	for _, si := range m.overBuf {
+		m.tried = m.tried[:0]
 		for moved := 0; moved < maxMig; moved++ {
 			s := ctx.Cluster.Server(si)
 			if !s.Overloaded(ctx.HR) {
 				break
 			}
-			cand := ctx.Cluster.Underloaded(ctx.HR)
+			cand := m.under.IDs()
 			if len(cand) == 0 {
 				break
 			}
 			victim := m.SelectMigrationTask(ctx, prios, si)
-			if victim == nil || tried[victim.ID] {
+			if victim == nil || slices.Contains(m.tried, victim.ID) {
 				break
 			}
-			tried[victim.ID] = true
+			m.tried = append(m.tried, victim.ID)
 			dst, dev, ok := m.ChooseServer(ctx, victim, cand)
 			if !ok {
 				break
 			}
-			if err := ctx.Migrate(victim, dst, dev); err != nil {
+			if err := m.under.Migrate(ctx, victim, dst, dev); err != nil {
 				break
 			}
 		}
@@ -405,93 +498,69 @@ func (m *MLFH) relieveOverloads(ctx *sched.Context, prios *Priorities) {
 // GPUs when any GPU is overloaded (§3.3.3).
 func (m *MLFH) SelectMigrationTask(ctx *sched.Context, prios *Priorities, si int) *job.Task {
 	s := ctx.Cluster.Server(si)
-	placements := s.Tasks()
-	if len(placements) == 0 {
-		return nil
-	}
-	tasks := make([]*job.Task, 0, len(placements))
-	byTask := make(map[job.TaskID]*cluster.Placement, len(placements))
-	for _, p := range placements {
-		t := ctx.TaskByRef(p.Task)
-		if t == nil {
-			continue
+	m.plBuf = s.TasksInto(m.plBuf)
+	tasks := m.vicBuf[:0]
+	for _, p := range m.plBuf {
+		if t := ctx.TaskByRef(p.Task); t != nil {
+			tasks = append(tasks, victim{t: t, p: p})
 		}
-		tasks = append(tasks, t)
-		byTask[t.ID] = p
 	}
+	m.vicBuf = tasks
 	if len(tasks) == 0 {
 		return nil
 	}
 
 	// Restrict to low-priority tasks on overloaded GPUs when present.
-	var overDev []int
-	for _, d := range s.Devices() {
+	// Device ids are indices into s.Devices().
+	devs := s.Devices()
+	anyOverDev := false
+	for _, d := range devs {
 		if d.Utilization() > ctx.HR {
-			overDev = append(overDev, d.ID())
+			anyOverDev = true
+			break
 		}
 	}
 	candidates := tasks
-	if len(overDev) > 0 {
-		onOver := make([]*job.Task, 0, len(tasks))
-		for _, t := range tasks {
-			p := byTask[t.ID]
-			for _, d := range overDev {
-				if p.Device == d {
-					onOver = append(onOver, t)
-					break
-				}
+	if anyOverDev {
+		onOver := m.eligible[:0]
+		for _, v := range tasks {
+			if devs[v.p.Device].Utilization() > ctx.HR {
+				onOver = append(onOver, v)
 			}
 		}
+		m.eligible = onOver
 		if len(onOver) > 0 {
-			sort.SliceStable(onOver, func(i, k int) bool {
-				pi, pk := prios.Of(onOver[i]), prios.Of(onOver[k])
-				if pi != pk {
-					return pi < pk
-				}
-				return onOver[i].ID < onOver[k].ID
-			})
-			n := int(math.Ceil(m.PS * float64(len(onOver))))
-			if n < 1 {
-				n = 1
-			}
-			candidates = onOver[:n]
+			sortVictims(onOver, prios)
+			candidates = onOver[:lowestShare(m.PS, len(onOver))]
 		}
 	} else {
 		// No overloaded GPU: all tasks are eligible but still prefer the
 		// lowest-priority p_s fraction to protect accuracy and JCT.
-		sorted := append([]*job.Task(nil), tasks...)
-		sort.SliceStable(sorted, func(i, k int) bool {
-			pi, pk := prios.Of(sorted[i]), prios.Of(sorted[k])
-			if pi != pk {
-				return pi < pk
-			}
-			return sorted[i].ID < sorted[k].ID
-		})
-		n := int(math.Ceil(m.PS * float64(len(sorted))))
-		if n < 1 {
-			n = 1
-		}
-		candidates = sorted[:n]
+		sorted := append(m.eligible[:0], tasks...)
+		m.eligible = sorted
+		sortVictims(sorted, prios)
+		candidates = sorted[:lowestShare(m.PS, len(sorted))]
 	}
 
-	// Ideal virtual task vector (§3.3.3).
-	over := map[cluster.Resource]bool{}
-	for _, r := range s.OverloadedResources(ctx.HR) {
-		over[r] = true
+	// Ideal virtual task vector (§3.3.3): per resource, the candidates'
+	// largest utilisation where the server is overloaded, else their
+	// smallest.
+	for i := range candidates {
+		candidates[i].u = candidates[i].p.Demand.Div(s.Capacity())
 	}
+	srvU := s.Utilization()
 	var ideal cluster.Vec
 	for r := range ideal {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, t := range candidates {
-			u := byTask[t.ID].Demand.Div(s.Capacity())
-			if u[r] < lo {
-				lo = u[r]
+		for _, v := range candidates {
+			if v.u[r] < lo {
+				lo = v.u[r]
 			}
-			if u[r] > hi {
-				hi = u[r]
+			if v.u[r] > hi {
+				hi = v.u[r]
 			}
 		}
-		if over[cluster.Resource(r)] {
+		if srvU[r] > ctx.HR {
 			ideal[r] = hi
 		} else {
 			ideal[r] = lo
@@ -500,29 +569,37 @@ func (m *MLFH) SelectMigrationTask(ctx *sched.Context, prios *Priorities, si int
 	var best *job.Task
 	bestDist := math.Inf(1)
 	var maxComm float64
-	comms := make(map[job.TaskID]float64, len(candidates))
 	if !m.DisableBandwidth {
-		for _, t := range candidates {
-			v := CommVolumeWith(ctx, t, si)
-			comms[t.ID] = v
+		for i := range candidates {
+			v := CommVolumeWith(ctx, candidates[i].t, si)
+			candidates[i].comm = v
 			if v > maxComm {
 				maxComm = v
 			}
 		}
 	}
-	for _, t := range candidates {
-		u := byTask[t.ID].Demand.Div(s.Capacity())
-		d := u.Distance(ideal)
+	for _, v := range candidates {
+		d := v.u.Distance(ideal)
 		if maxComm > 0 {
 			// u_BW,v = 0 is ideal: migrating a task that talks to this
 			// server would add cross-server traffic.
-			gap := comms[t.ID] / maxComm
+			gap := v.comm / maxComm
 			d = math.Sqrt(d*d + gap*gap)
 		}
 		//mlfs:allow floatcmp deliberate exact tie on the RIAL distance: equal bits fall through to the task-id tie-break for determinism
-		if d < bestDist || (d == bestDist && (best == nil || t.ID < best.ID)) {
-			best, bestDist = t, d
+		if d < bestDist || (d == bestDist && (best == nil || v.t.ID < best.ID)) {
+			best, bestDist = v.t, d
 		}
 	}
 	return best
+}
+
+// lowestShare is how many of n priority-sorted victims form the p_s
+// fraction eligible for migration: ⌈ps·n⌉, at least one.
+func lowestShare(ps float64, n int) int {
+	k := int(math.Ceil(ps * float64(n)))
+	if k < 1 {
+		k = 1
+	}
+	return k
 }

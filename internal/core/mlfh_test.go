@@ -185,3 +185,44 @@ func TestMLFHSchedulesEndToEnd(t *testing.T) {
 	_ = next
 	runEndToEnd(t, NewMLFH(), 25, 21)
 }
+
+// TestMLFHReliefRoundAllocs pins that a steady-state MLF-H round with
+// migrations allocates nothing: each run puts the tasks back onto the
+// overloaded server 0, and the round migrates one of them out again.
+func TestMLFHReliefRoundAllocs(t *testing.T) {
+	var next job.TaskID
+	cl := cluster.New(cluster.Config{Servers: 3, GPUsPerServer: 4, GPUCapacity: 1,
+		CPUCapacity: 16, MemoryCapacity: 64, BWCapacity: 1200})
+	var jobs []*job.Job
+	for id := 1; id <= 3; id++ {
+		j := buildJob(t, job.Spec{ID: job.ID(id), Family: learncurve.MLP, Comm: job.AllReduce,
+			ModelParallel: 1, Urgency: id, CPUPerTask: 6, CommVolWW: 50}, &next)
+		j.SimSlot = id - 1
+		if err := cl.Place(j.Tasks[0].ID.Ref(), 0, id-1, j.Tasks[0].Demand, j.Tasks[0].GPUShare); err != nil {
+			t.Fatal(err)
+		}
+		j.PlacedTasks = 1
+		jobs = append(jobs, j)
+	}
+	ctx := sched.NewContext(0, cl, jobs, nil, 0.9, 0.9)
+	ctx.EnableIncremental()
+	m := NewMLFH()
+	round := func() {
+		m.Schedule(ctx)
+		for i, j := range jobs {
+			if err := ctx.Migrate(j.Tasks[0], 0, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // sizes the scratch buffers
+	before := ctx.Migrations
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, round); got != 0 {
+		t.Fatalf("steady-state relief round allocates: %v allocs/round", got)
+	}
+	// Each run migrates a victim out and back: at least two per run.
+	if ctx.Migrations-before < 2*runs {
+		t.Fatalf("vacuous: %d migrations in %d rounds", ctx.Migrations-before, runs)
+	}
+}

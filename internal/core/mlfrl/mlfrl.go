@@ -153,11 +153,13 @@ type Scheduler struct {
 
 	// Per-round scratch, reused so the decision hot path makes no
 	// steady-state allocations.
-	fit      []int               //mlfs:derived scratch: candidate servers passing the fit check
-	order    []scoredJob         //mlfs:derived scratch: priority-ordered pending jobs
-	taskBuf  []*job.Task         //mlfs:derived scratch: one job's queued tasks
-	tried    map[job.TaskID]bool //mlfs:derived scratch: migration victims already attempted
-	featFree []*nn.Matrix        //mlfs:derived scratch: freelist backing decision.feats
+	fit      []int                //mlfs:derived scratch: candidate servers passing the fit check
+	order    []scoredJob          //mlfs:derived scratch: priority-ordered pending jobs
+	taskBuf  []*job.Task          //mlfs:derived scratch: one job's queued tasks
+	tried    map[job.TaskID]bool  //mlfs:derived scratch: migration victims already attempted
+	featFree []*nn.Matrix         //mlfs:derived scratch: freelist backing decision.feats
+	overBuf  []int                //mlfs:derived scratch: the round's overloaded servers
+	under    sched.UnderloadedSet //mlfs:derived scratch: the relief round's destinations
 }
 
 // New builds an MLF-RL scheduler.
@@ -446,16 +448,19 @@ func (s *Scheduler) chooseServer(ctx *sched.Context, t *job.Task, candidates []i
 
 // relieveOverloads keeps MLF-H's ideal-virtual-task victim selection but
 // routes destinations through the policy. Like MLF-H, it never requeues
-// a victim (see the deviation note on core.MLFH.relieveOverloads).
+// a victim (see the deviation note on core.MLFH.relieveOverloads), and
+// it draws destinations from one underloaded set per round.
 func (s *Scheduler) relieveOverloads(ctx *sched.Context, prios *core.Priorities) {
-	for _, si := range ctx.Cluster.Overloaded(ctx.HR) {
+	s.overBuf = ctx.Cluster.AppendOverloaded(s.overBuf[:0], ctx.HR)
+	s.under.Reset(ctx)
+	for _, si := range s.overBuf {
 		clear(s.tried)
 		for moved := 0; moved < 8; moved++ {
 			srv := ctx.Cluster.Server(si)
 			if !srv.Overloaded(ctx.HR) {
 				break
 			}
-			cand := ctx.Cluster.Underloaded(ctx.HR)
+			cand := s.under.IDs()
 			if len(cand) == 0 {
 				break
 			}
@@ -468,7 +473,7 @@ func (s *Scheduler) relieveOverloads(ctx *sched.Context, prios *core.Priorities)
 			if !ok {
 				break
 			}
-			if err := ctx.Migrate(victim, dst, dev); err != nil {
+			if err := s.under.Migrate(ctx, victim, dst, dev); err != nil {
 				break
 			}
 		}

@@ -26,10 +26,12 @@ var epochGuardAnalyzer = &Analyzer{
 
 // epochMutators are the functions allowed to change guarded load state.
 // bump is included because the designated mutators delegate the epoch
-// advance to it; RestoreState overwrites the load accumulators with the
-// exact snapshotted values and owns its own bump calls.
+// advance to it; place is the body of Place and Move and bumps like
+// them; RestoreState
+// overwrites the load accumulators with the exact snapshotted values
+// and owns its own bump calls.
 var epochMutators = map[string]bool{
-	"Place": true, "Remove": true, "UpdateDemand": true, "bump": true,
+	"Place": true, "place": true, "Remove": true, "UpdateDemand": true, "bump": true,
 	"RestoreState": true,
 }
 

@@ -27,6 +27,7 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -66,6 +67,10 @@ type Report struct {
 	Seed        int64
 	DurationSec float64
 
+	// Submitted counts this run's accepted submissions; Completed how
+	// many of them reached a final state (cancellations included) and
+	// Cancelled the cancellations among those. Jobs other clients
+	// submitted to the same server are not counted.
 	Submitted int
 	Completed int
 	Cancelled int
@@ -155,21 +160,29 @@ func (c *client) post(path string) error {
 
 // submit posts one job, honouring backpressure: a 429 is not an error
 // but a pacing signal — the client sleeps for the server's Retry-After
-// (default 1 s) and retries until the deadline. Returns how many sheds
-// it absorbed and the total wall time spent waiting on them.
-func (c *client) submit(body any, deadline time.Time) (shed int, waited time.Duration, err error) {
+// (default 1 s) and retries until the deadline. Returns the accepted
+// job's id, how many sheds it absorbed and the total wall time spent
+// waiting on them.
+func (c *client) submit(body any, deadline time.Time) (id int64, shed int, waited time.Duration, err error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	for {
 		resp, err := c.http.Post(c.base+"/v1/jobs", "application/json", bytes.NewReader(raw))
 		if err != nil {
-			return shed, waited, err
+			return 0, shed, waited, err
 		}
 		if resp.StatusCode/100 == 2 {
+			var accepted struct {
+				ID int64 `json:"id"`
+			}
+			err := json.NewDecoder(resp.Body).Decode(&accepted)
 			resp.Body.Close()
-			return shed, waited, nil
+			if err != nil {
+				return 0, shed, waited, fmt.Errorf("loadgen: POST /v1/jobs: decoding the reply: %w", err)
+			}
+			return accepted.ID, shed, waited, nil
 		}
 		var apiErr struct {
 			Error string `json:"error"`
@@ -177,7 +190,7 @@ func (c *client) submit(body any, deadline time.Time) (shed int, waited time.Dur
 		json.NewDecoder(resp.Body).Decode(&apiErr)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusTooManyRequests {
-			return shed, waited, fmt.Errorf("loadgen: POST /v1/jobs: %s (%s)", resp.Status, apiErr.Error)
+			return 0, shed, waited, fmt.Errorf("loadgen: POST /v1/jobs: %s (%s)", resp.Status, apiErr.Error)
 		}
 		shed++
 		wait := time.Second
@@ -185,7 +198,7 @@ func (c *client) submit(body any, deadline time.Time) (shed int, waited time.Dur
 			wait = time.Duration(s) * time.Second
 		}
 		if time.Now().Add(wait).After(deadline) {
-			return shed, waited, fmt.Errorf("loadgen: still shed after deadline: %s (%s)", resp.Status, apiErr.Error)
+			return 0, shed, waited, fmt.Errorf("loadgen: still shed after deadline: %s (%s)", resp.Status, apiErr.Error)
 		}
 		waited += wait
 		time.Sleep(wait)
@@ -204,13 +217,36 @@ func (c *client) get(path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// clusterView is the subset of /v1/cluster the generator reads.
-type clusterView struct {
-	Submitted int `json:"jobs_submitted"`
-	Queued    int `json:"jobs_queued"`
-	Live      int `json:"jobs_live"`
-	Completed int `json:"jobs_completed"`
-	Cancelled int `json:"jobs_cancelled"`
+// finalStates are the GET /v1/jobs/{id} states a job never leaves.
+var finalStates = map[string]bool{"finished": true, "stopped": true, "killed": true, "cancelled": true}
+
+// drain polls the run's own jobs, in submission order, until every one
+// has reached a final state, and counts how they ended: completed
+// counts every final state, cancelled the cancellations among them.
+// Jobs other clients submitted neither hold the drain up nor count.
+func (c *client) drain(ids []int64, deadline time.Time) (completed, cancelled int, err error) {
+	for _, id := range ids {
+		for {
+			var st struct {
+				State string `json:"state"`
+			}
+			if err := c.get(fmt.Sprintf("/v1/jobs/%d", id), &st); err != nil {
+				return completed, cancelled, err
+			}
+			if finalStates[st.State] {
+				completed++
+				if st.State == "cancelled" {
+					cancelled++
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				return completed, cancelled, fmt.Errorf("loadgen: timeout draining: job %d is %s, %d of %d jobs done", id, st.State, completed, len(ids))
+			}
+			time.Sleep(pollInterval)
+		}
+	}
+	return completed, cancelled, nil
 }
 
 // Run executes one load-generation run against a live server.
@@ -253,56 +289,28 @@ func Run(cfg Config) (*Report, error) {
 	// Replay mode freezes the clock so the entire workload is enqueued
 	// with its generated arrival stamps before the first tick — the
 	// submitted stream is then byte-equal to the generated trace and
-	// the run has a batch oracle.
+	// the run has a batch oracle. The clock is resumed whether or not
+	// every submission went through, so a failed run never leaves the
+	// server paused.
 	if !open {
 		if err := c.post("/v1/pause"); err != nil {
 			return nil, err
 		}
 	}
-
-	shedTotal := 0
-	var retryWait time.Duration
-	for i, r := range records {
-		if open {
-			// Pace against the wall clock; no arrival stamp, the server
-			// assigns live arrivals.
-			next := start.Add(time.Duration(float64(i) / cfg.RPS * float64(time.Second)))
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		shed, waited, err := c.submit(bodyFor(r, !open), deadline)
-		shedTotal += shed
-		retryWait += waited
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: job %d: %w", i, err)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("loadgen: timeout after %d/%d submissions", i+1, len(records))
-		}
-	}
-
+	ids, shed, retryWait, err := c.submitAll(records, open, cfg.RPS, start, deadline)
 	if !open {
-		if err := c.post("/v1/resume"); err != nil {
-			return nil, err
+		if rerr := c.post("/v1/resume"); rerr != nil {
+			err = errors.Join(err, rerr)
 		}
 	}
-
-	// Drain: all accepted submissions admitted and finalised.
-	var cv clusterView
-	for {
-		if err := c.get("/v1/cluster", &cv); err != nil {
-			return nil, err
-		}
-		if cv.Queued == 0 && cv.Live == 0 && cv.Submitted >= len(records) {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("loadgen: timeout draining: %d queued, %d live of %d", cv.Queued, cv.Live, cv.Submitted)
-		}
-		time.Sleep(pollInterval)
+	if err != nil {
+		return nil, err
 	}
 
+	completed, cancelled, err := c.drain(ids, deadline)
+	if err != nil {
+		return nil, err
+	}
 	var result metrics.Result
 	if err := c.get("/v1/result", &result); err != nil {
 		return nil, err
@@ -313,13 +321,42 @@ func Run(cfg Config) (*Report, error) {
 		Seed:        cfg.Seed,
 		DurationSec: cfg.DurationSec,
 
-		Submitted: cv.Submitted,
-		Completed: cv.Completed,
-		Cancelled: cv.Cancelled,
+		Submitted: len(ids),
+		Completed: completed,
+		Cancelled: cancelled,
 
-		Shed:             shedTotal,
+		Shed:             shed,
 		RetryWaitSeconds: retryWait.Seconds(),
 
 		Result: &result,
 	}, nil
+}
+
+// submitAll submits every record in order — paced at rps against the
+// wall clock from start in open mode, with its generated arrival stamp
+// in replay mode — and returns the accepted job ids with the sheds
+// absorbed and the time spent waiting them out.
+func (c *client) submitAll(records []trace.Record, open bool, rps float64, start, deadline time.Time) (ids []int64, shed int, retryWait time.Duration, err error) {
+	ids = make([]int64, 0, len(records))
+	for i, r := range records {
+		if open {
+			// Pace against the wall clock; no arrival stamp, the server
+			// assigns live arrivals.
+			next := start.Add(time.Duration(float64(i) / rps * float64(time.Second)))
+			if d := time.Until(next); d > 0 {
+				time.Sleep(d)
+			}
+		}
+		id, n, waited, err := c.submit(bodyFor(r, !open), deadline)
+		shed += n
+		retryWait += waited
+		if err != nil {
+			return ids, shed, retryWait, fmt.Errorf("loadgen: job %d: %w", i, err)
+		}
+		ids = append(ids, id)
+		if time.Now().After(deadline) {
+			return ids, shed, retryWait, fmt.Errorf("loadgen: timeout after %d/%d submissions", i+1, len(records))
+		}
+	}
+	return ids, shed, retryWait, nil
 }

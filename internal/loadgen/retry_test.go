@@ -27,9 +27,12 @@ func TestSubmitRetriesOn429(t *testing.T) {
 	defer ts.Close()
 
 	c := &client{base: ts.URL, http: ts.Client()}
-	shed, waited, err := c.submit(map[string]any{"gpus": 1}, time.Now().Add(10*time.Second))
+	id, shed, waited, err := c.submit(map[string]any{"gpus": 1}, time.Now().Add(10*time.Second))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
+	}
+	if id != 1 {
+		t.Errorf("id %d, want the accepted job's 1", id)
 	}
 	if shed != 2 {
 		t.Errorf("shed %d, want 2", shed)
@@ -54,7 +57,7 @@ func TestSubmitGivesUpAtDeadline(t *testing.T) {
 	defer ts.Close()
 
 	c := &client{base: ts.URL, http: ts.Client()}
-	shed, _, err := c.submit(map[string]any{"gpus": 1}, time.Now().Add(500*time.Millisecond))
+	_, shed, _, err := c.submit(map[string]any{"gpus": 1}, time.Now().Add(500*time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "still shed") {
 		t.Fatalf("err %v, want a still-shed-after-deadline error", err)
 	}
@@ -75,7 +78,7 @@ func TestSubmitFailsFastOnOtherStatuses(t *testing.T) {
 	defer ts.Close()
 
 	c := &client{base: ts.URL, http: ts.Client()}
-	shed, _, err := c.submit(map[string]any{"gpus": -1}, time.Now().Add(5*time.Second))
+	_, shed, _, err := c.submit(map[string]any{"gpus": -1}, time.Now().Add(5*time.Second))
 	if err == nil || !strings.Contains(err.Error(), "gpus must be positive") {
 		t.Fatalf("err %v, want the server's 400 message", err)
 	}

@@ -2,6 +2,7 @@ package loadgen_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -154,5 +155,85 @@ func TestOpenLoopAgainstLiveServer(t *testing.T) {
 	}
 	if rep.Mode != "open" || rep.Submitted != 30 || rep.Completed != 30 {
 		t.Fatalf("open-loop report: %+v", rep)
+	}
+}
+
+// startLive boots cfg's service with its loop running behind an
+// httptest listener, stopped at cleanup.
+func startLive(t *testing.T, cfg serve.Config) *httptest.Server {
+	t.Helper()
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	s.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Stop(ctx); err != nil {
+			t.Errorf("Stop: %v", err)
+		}
+	})
+	return ts
+}
+
+func mlfhConfig() serve.Config {
+	return serve.Config{
+		NewScheduler: func() (serve.Scheduler, error) {
+			return mlfs.NewScheduler("mlf-h", mlfs.SchedulerOptions{Seed: 1})
+		},
+		SchedulerName: "mlf-h",
+		Cluster:       cluster.PaperRealConfig(),
+	}
+}
+
+// TestReplayResumesServerOnError: a replay run that cannot submit its
+// whole workload — the admission bound is below the job count and the
+// run times out while shed — fails, and leaves the server resumed, not
+// paused.
+func TestReplayResumesServerOnError(t *testing.T) {
+	cfg := mlfhConfig()
+	cfg.MaxQueuedJobs = 5
+	ts := startLive(t, cfg)
+	_, err := loadgen.Run(loadgen.Config{BaseURL: ts.URL, Jobs: 20, Seed: 1, DurationSec: 3600, Timeout: 3 * time.Second})
+	if err == nil || !strings.Contains(err.Error(), "still shed") {
+		t.Fatalf("Run = %v, want a still-shed error", err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cv struct {
+		Paused bool `json:"paused"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&cv); err != nil {
+		t.Fatal(err)
+	}
+	if cv.Paused {
+		t.Fatal("the failed run left the server paused")
+	}
+}
+
+// TestReportCountsOwnJobs: against a server that already drained
+// another run, a report counts this run's submissions only, and the run
+// waits for its own jobs to finish.
+func TestReportCountsOwnJobs(t *testing.T) {
+	ts := startLive(t, mlfhConfig())
+	if _, err := loadgen.Run(loadgen.Config{BaseURL: ts.URL, Jobs: 30, Seed: 1, DurationSec: 3600, Timeout: time.Minute}); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	rep, err := loadgen.Run(loadgen.Config{BaseURL: ts.URL, Jobs: 10, Seed: 2, DurationSec: 3600, RPS: 2000, Timeout: time.Minute})
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if rep.Submitted != 10 || rep.Completed != 10 || rep.Cancelled != 0 {
+		t.Fatalf("second run reports submitted %d, completed %d, cancelled %d; want 10, 10, 0",
+			rep.Submitted, rep.Completed, rep.Cancelled)
+	}
+	if rep.Result.Jobs != 40 {
+		t.Fatalf("drained server result holds %d jobs, want both runs' 40", rep.Result.Jobs)
 	}
 }

@@ -234,12 +234,9 @@ func (c *Context) Migrate(t *job.Task, server, device int) error {
 	if p.Server == server && p.Device == device {
 		return nil
 	}
-	c.Cluster.Remove(t.ID.Ref())
-	if err := c.Cluster.Place(t.ID.Ref(), server, device, t.Demand, t.GPUShare); err != nil {
-		// Roll back to the original placement.
-		if rbErr := c.Cluster.Place(t.ID.Ref(), p.Server, p.Device, p.Demand, p.GPUShare); rbErr != nil {
-			return fmt.Errorf("sched: migrate rollback failed: %v (after %w)", rbErr, err)
-		}
+	// Move rolls back to the original placement when the destination
+	// refuses the task.
+	if err := c.Cluster.Move(t.ID.Ref(), server, device, t.Demand, t.GPUShare); err != nil {
 		return err
 	}
 	c.Migrations++

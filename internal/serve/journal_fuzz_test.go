@@ -58,6 +58,7 @@ func TestJournalRecoveryRejectsHostile(t *testing.T) {
 		{"repeated job id", submitLine(t, 1, 0) + submitLine(t, 2, 10) + submitLine(t, 1, 20), "line 3: job 1 submitted twice"},
 		{"arrival before the tail", submitLine(t, 1, 100) + submitLine(t, 2, 50), "line 2: job 2 arrives at 50, before the stream tail 100"},
 		{"unknown family", submitLine(t, 1, 0) + strings.Replace(submitLine(t, 2, 0), `"Family":`, `"Family":9`, 1), "line 2: job 2: family 9"},
+		{"job larger than the cluster", submitLine(t, 1, 0) + strings.Replace(submitLine(t, 2, 0), `"GPUs":1,`, `"GPUs":200000,`, 1), "line 2: job 2 requests 200000 GPUs but the cluster has 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -113,9 +114,9 @@ func seedJournal(f *testing.F) []byte {
 // equals the batch oracle over the same journal (ReadJournal then
 // Oracle) — or fails exactly when the oracle does. Runs too long to
 // drain in a couple of seconds are not compared, and journals with more
-// than 64 records or a job over 64 GPUs are skipped: materialising a job
-// allocates per GPU, which no journal a live server wrote can exploit
-// but a fuzzed one could. The seeds — a real
+// than 64 records are skipped. A job over the cluster's GPU count plus
+// one needs no skip: recovery refuses it as the live path does, before
+// materialising it allocates per GPU. The seeds — a real
 // submit+cancel journal, a torn copy and reordered ones — run under
 // plain go test.
 func FuzzJournalRecovery(f *testing.F) {
@@ -137,11 +138,8 @@ func FuzzJournalRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 		records, cancels, rerr := serve.ReadJournal(cfg.JournalPath)
-		for _, r := range records {
-			if len(records) > 64 || r.GPUs > 64 {
-				// Materialising a job allocates per GPU; keep the run small.
-				return
-			}
+		if len(records) > 64 {
+			return
 		}
 		s, err := serve.New(cfg)
 		if err != nil {

@@ -380,7 +380,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
-	s.totalGPUs = s.sim.Cluster().NumGPUs()
 	s.startWall = wallNow()
 	// Timeouts on every axis a slow or hostile client could pin: header
 	// read, body read, response write, idle keep-alive.
@@ -522,6 +521,7 @@ func (s *Server) replay(envs []journalLine, covered int, payload []byte) error {
 	}
 	s.sim.SetRetireHook(s.onRetire)
 	s.sim.SetRoundTimingHook(s.onRound)
+	s.totalGPUs = s.sim.Cluster().NumGPUs()
 	s.entries, s.byIndex, s.nextID = make(map[int64]*jobEntry), nil, 1
 	s.completed, s.cancelledN, s.lastSnapTick = 0, 0, 0
 	s.info.Resumed, s.info.CompletedRestored = false, 0
@@ -554,13 +554,17 @@ func (s *Server) replay(envs []journalLine, covered int, payload []byte) error {
 // place a submission enters the queue and registry and a cancellation
 // reaches the simulator, for a live request, a replicated envelope and
 // a recovered one alike. It refuses what a live server cannot journal:
-// a record that fails validation, a repeated job id, an arrival before
-// the stream tail, a cancel before its job's submission. Loop context
-// (or recovery, before the loop).
+// a record that fails validation, a job larger than handleSubmit's
+// GPU bound (materialising one allocates per GPU), a repeated job id,
+// an arrival before the stream tail, a cancel before its job's
+// submission. Loop context (or recovery, before the loop).
 func (s *Server) apply(env journalLine) error {
 	if rec := env.Submit; rec != nil {
 		if err := rec.Validate(); err != nil {
 			return fmt.Errorf("job %d: %w", rec.JobID, err)
+		}
+		if rec.GPUs > s.totalGPUs+1 {
+			return fmt.Errorf("job %d requests %d GPUs but the cluster has %d", rec.JobID, rec.GPUs, s.totalGPUs)
 		}
 		if s.entries[rec.JobID] != nil {
 			return fmt.Errorf("job %d submitted twice", rec.JobID)
