@@ -15,7 +15,8 @@ import (
 // product feeding an add or subtract is written float64(x*y), so that no
 // architecture's compiler may fuse it into a multiply-add: the batched
 // NN kernels and the per-sample paths they must match bit for bit, the
-// Adam step, and the MLF-C fit's running sums and per-rate fit.
+// Adam step, the MLF-C fit's running sums and per-rate fit, and MLF-H's
+// RIAL distances.
 var fusionFreeKernels = map[string][]string{
 	"./internal/nn": {
 		"mlfs/internal/nn.mulABT",
@@ -31,21 +32,25 @@ var fusionFreeKernels = map[string][]string{
 		"mlfs/internal/learncurve.fitRate",
 		"mlfs/internal/learncurve.(*fitState).fold",
 	},
+	"./internal/core": {
+		"mlfs/internal/core.(*MLFH).ChooseServer",
+		"mlfs/internal/core.(*MLFH).SelectMigrationTask",
+	},
 }
 
 // fusedOps are the arm64 fused multiply-add mnemonics in Go assembler
 // syntax (FMADDD, FMSUBS, FNMADDD, ...).
 var fusedOps = []string{"FMADD", "FMSUB", "FNMADD", "FNMSUB"}
 
-// TestNoFusedMultiplyAddInKernels cross-compiles the nn and learncurve
-// test binaries for linux/arm64 — a backend that, unlike amd64, fuses
-// x*y + z when the spec allows it — disassembles them with go tool
-// objdump and requires every function of fusionFreeKernels to be
-// present and free of fused multiply-adds. It needs no network and no
+// TestNoFusedMultiplyAddInKernels cross-compiles the test binaries of
+// the packages in fusionFreeKernels for linux/arm64 — a backend that,
+// unlike amd64, fuses x*y + z when the spec allows it — disassembles
+// them with go tool objdump and requires every function of
+// fusionFreeKernels to be present and free of fused multiply-adds. It needs no network and no
 // arm64 machine; a cold build cache makes it take about half a minute.
 func TestNoFusedMultiplyAddInKernels(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles two test binaries for arm64")
+		t.Skip("cross-compiles test binaries for arm64")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {

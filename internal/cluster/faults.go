@@ -90,23 +90,6 @@ func (f *FaultProcess) DecodeState(r *snapshot.Reader) error {
 	return nil
 }
 
-// PeekTime returns the absolute sim-time of the earliest pending
-// failure/repair transition without consuming it (the fault/repair term
-// of the simulator's next-event horizon). ok is false only for a
-// process over zero servers.
-func (f *FaultProcess) PeekTime() (at float64, ok bool) {
-	best := -1
-	for i := range f.next {
-		if best < 0 || f.next[i] < f.next[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return f.next[best], true
-}
-
 // Next pops the earliest pending transition at or before horizon
 // (seconds of sim time). It returns the server index, whether the
 // server goes down (true) or comes back up (false), and the event time;

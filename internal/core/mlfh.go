@@ -47,6 +47,7 @@ type MLFH struct {
 	taskBuf  []*job.Task          //mlfs:derived scratch: one job's queued tasks
 	fitState []fitState           //mlfs:derived scratch: per-candidate memo of the fit check
 	volBuf   []float64            //mlfs:derived scratch: per-server communication volumes
+	volHosts []int                //mlfs:derived scratch: the servers volBuf may be nonzero on
 	overBuf  []int                //mlfs:derived scratch: the round's overloaded servers
 	under    sched.UnderloadedSet //mlfs:derived scratch: the relief round's destinations
 	tried    []job.TaskID         //mlfs:derived scratch: victims tried on one overloaded server
@@ -276,49 +277,51 @@ func taskAdjacent(t *job.Task, idx int) bool {
 	return false
 }
 
-// commVolumesInto computes CommVolumeWith(ctx, t, si) for every server
-// at once, writing into vol (grown to the cluster size). The
-// per-candidate form resolves every adjacent task's placement through a
-// cluster map lookup once per candidate server, which made ChooseServer
-// dominate the scheduling-round profile at 550 servers; this form
-// resolves each placement exactly once and accumulates its contribution
-// on the server hosting it. Per-server additions happen in the same
-// term order as the per-candidate sums (parents, then children, then
-// sync-affinity siblings), so the results are bit-identical to calling
-// CommVolumeWith per server.
-func commVolumesInto(ctx *sched.Context, t *job.Task, vol []float64) []float64 {
-	n := ctx.Cluster.NumServers()
-	if cap(vol) < n {
-		vol = make([]float64, n)
+// commVolumes computes CommVolumeWith(ctx, t, si) for every server
+// at once into m.volBuf (sized to the cluster). The per-candidate form
+// resolves every adjacent task's placement through a cluster map lookup
+// once per candidate server, which made ChooseServer dominate the
+// scheduling-round profile at 550 servers; this form resolves each
+// placement exactly once and accumulates its contribution on the server
+// hosting it. Only the entries the previous call wrote (m.volHosts) can
+// be nonzero, so only those are cleared first.
+func (m *MLFH) commVolumes(ctx *sched.Context, t *job.Task) {
+	if n := ctx.Cluster.NumServers(); len(m.volBuf) != n {
+		m.volBuf, m.volHosts = make([]float64, n), m.volHosts[:0]
 	}
-	vol = vol[:n]
-	for i := range vol {
-		vol[i] = 0
+	for _, si := range m.volHosts {
+		m.volBuf[si] = 0
 	}
+	m.volHosts = addCommVolumes(ctx, t, m.volBuf, m.volHosts[:0])
+}
+
+// addCommVolumes adds t's communication volume with every placed task
+// of its job onto the entry of the server hosting that task, appending
+// each server it writes to hosts. Per-server additions happen in the
+// same term order as CommVolumeWith's sum (parents, then children, then
+// sync-affinity siblings), so on a zeroed vol the results are
+// bit-identical to calling CommVolumeWith per server.
+func addCommVolumes(ctx *sched.Context, t *job.Task, vol []float64, hosts []int) []int {
 	j := t.Job
-	hostOf := func(other *job.Task) int {
+	add := func(other *job.Task, v float64) {
 		if p := ctx.Cluster.Lookup(other.ID.Ref()); p != nil {
-			return p.Server
+			vol[p.Server] += v
+			hosts = append(hosts, p.Server)
 		}
-		return -1
 	}
 	for _, pi := range t.Parents() {
-		if si := hostOf(j.Tasks[pi]); si >= 0 {
-			if t.IsPS {
-				vol[si] += j.CommVolPS
-			} else {
-				vol[si] += j.CommVolWW
-			}
+		if t.IsPS {
+			add(j.Tasks[pi], j.CommVolPS)
+		} else {
+			add(j.Tasks[pi], j.CommVolWW)
 		}
 	}
 	for _, ci := range t.Children() {
 		child := j.Tasks[ci]
-		if si := hostOf(child); si >= 0 {
-			if child.IsPS {
-				vol[si] += j.CommVolPS
-			} else {
-				vol[si] += j.CommVolWW
-			}
+		if child.IsPS {
+			add(child, j.CommVolPS)
+		} else {
+			add(child, j.CommVolWW)
 		}
 	}
 	syncVol := 0.5 * j.CommVolWW
@@ -329,11 +332,9 @@ func commVolumesInto(ctx *sched.Context, t *job.Task, vol []float64) []float64 {
 		if other == t || taskAdjacent(t, other.Index) {
 			continue
 		}
-		if si := hostOf(other); si >= 0 {
-			vol[si] += syncVol
-		}
+		add(other, syncVol)
 	}
-	return vol
+	return hosts
 }
 
 // ChooseServer is the RIAL-style ideal-virtual-server selection of
@@ -352,6 +353,13 @@ func commVolumesInto(ctx *sched.Context, t *job.Task, vol []float64) []float64 {
 // candidate whose squared distance and affinity gap are no smaller than
 // the best's: the distance is monotone in both, so it cannot win under
 // the strict <.
+//
+// Passes 1 and 3 stop once their answer is settled. Utilisations are
+// never negative, so an all-zero ideal is final. Every candidate with
+// zero volume has the same gap, so its distance is at least dG, the
+// distance at a zero squared distance: once the best is within dG such
+// candidates are skipped unread, and past the last candidate with a
+// nonzero volume (lastHost) the pass ends.
 func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (int, int, bool) {
 	if cap(m.fitState) < len(candidates) {
 		m.fitState = make([]fitState, len(candidates))
@@ -377,6 +385,9 @@ func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (
 				ideal[r] = u[r]
 			}
 		}
+		if ideal == (cluster.Vec{}) {
+			break // utilisations are never negative: nothing lowers it now
+		}
 	}
 	if !found {
 		return 0, 0, false
@@ -384,11 +395,16 @@ func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (
 	// Communication affinity: ideal is the maximum volume any fitting
 	// candidate offers.
 	var maxComm float64
+	lastHost := -1
 	if !m.DisableBandwidth {
-		m.volBuf = commVolumesInto(ctx, t, m.volBuf)
+		m.commVolumes(ctx, t)
 		for i, si := range candidates {
-			if m.volBuf[si] > maxComm && m.fits(ctx, t, i, si) {
-				maxComm = m.volBuf[si]
+			v := m.volBuf[si]
+			if v != 0 {
+				lastHost = i
+			}
+			if v > maxComm && m.fits(ctx, t, i, si) {
+				maxComm = v
 			}
 		}
 	}
@@ -396,9 +412,30 @@ func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (
 	if bwWeight <= 0 {
 		bwWeight = 2
 	}
+	// dG is the loop's distance for a zero-volume candidate at sq = 0;
+	// gap0 is the loop's gap at volume 0 (maxComm - 0 is maxComm
+	// exactly). +, * and Sqrt are monotone on non-negative operands, so
+	// no zero-volume candidate is closer than dG. Without the affinity
+	// dimension every gap is 0: every candidate counts as zero-volume
+	// and dG is 0.
+	var dG float64
+	if maxComm > 0 {
+		gap0 := bwWeight * maxComm / maxComm
+		dG = math.Sqrt(float64(gap0 * gap0))
+	} else {
+		lastHost = -1
+	}
 	best, bestDist := -1, math.Inf(1)
 	bestSq, bestGap := math.Inf(1), math.Inf(1)
 	for i, si := range candidates {
+		if bestDist <= dG {
+			if i > lastHost {
+				break
+			}
+			if m.volBuf[si] == 0 {
+				continue
+			}
+		}
 		sq := ctx.Cluster.Server(si).Utilization().DistanceSq(ideal)
 		var gap float64
 		if maxComm > 0 {
@@ -412,7 +449,7 @@ func (m *MLFH) ChooseServer(ctx *sched.Context, t *job.Task, candidates []int) (
 		}
 		d := math.Sqrt(sq)
 		if maxComm > 0 {
-			d = math.Sqrt(d*d + gap*gap)
+			d = math.Sqrt(float64(d*d) + float64(gap*gap))
 		}
 		// Movement degradation q_{k,V} is zero for queue placements and
 		// identical across destinations for migrations, so it does not
@@ -584,7 +621,7 @@ func (m *MLFH) SelectMigrationTask(ctx *sched.Context, prios *Priorities, si int
 			// u_BW,v = 0 is ideal: migrating a task that talks to this
 			// server would add cross-server traffic.
 			gap := v.comm / maxComm
-			d = math.Sqrt(d*d + gap*gap)
+			d = math.Sqrt(float64(d*d) + float64(gap*gap))
 		}
 		//mlfs:allow floatcmp deliberate exact tie on the RIAL distance: equal bits fall through to the task-id tie-break for determinism
 		if d < bestDist || (d == bestDist && (best == nil || v.t.ID < best.ID)) {

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"mlfs/internal/cluster"
 	"mlfs/internal/job"
 	"mlfs/internal/learncurve"
+	"mlfs/internal/philly"
 	"mlfs/internal/sched"
 	"mlfs/internal/sim"
 	"mlfs/internal/trace"
@@ -35,6 +37,21 @@ type refMLFH struct {
 }
 
 func newRefMLFH(m *MLFH) *refMLFH { return &refMLFH{MLFH: m} }
+
+// commVolumesInto is MLFH.commVolumes from scratch: every server's
+// volume in vol (grown to the cluster size) is zeroed, then t's volumes
+// are accumulated. The reference and the coverage classifier use it, so
+// a stale entry MLFH.commVolumes failed to clear shows as a difference.
+func commVolumesInto(ctx *sched.Context, t *job.Task, vol []float64) []float64 {
+	n := ctx.Cluster.NumServers()
+	if cap(vol) < n {
+		vol = make([]float64, n)
+	}
+	vol = vol[:n]
+	clear(vol)
+	addCommVolumes(ctx, t, vol, nil)
+	return vol
+}
 
 // Schedule implements sched.Scheduler.
 func (m *refMLFH) Schedule(ctx *sched.Context) {
@@ -397,12 +414,15 @@ func refCandidateLists(ctx *sched.Context, rng *rand.Rand) [][]int {
 	return [][]int{ctx.Cluster.Underloaded(ctx.HR), all, perm[:rng.Intn(n+1)]}
 }
 
-// TestChooseServerMatchesReference requires the lazy-fit, pruned
-// ChooseServer to return the reference's (server, device, ok) on seeded
-// random clusters, with and without the bandwidth term, and checks that
-// the cases the exactness argument rests on all occurred.
+// TestChooseServerMatchesReference requires the lazy-fit, pruned,
+// early-exiting ChooseServer to return the reference's (server, device,
+// ok) on seeded random clusters, with and without the bandwidth term,
+// and the volumes it leaves in its scratch to equal a from-scratch
+// computation. It fails unless the cases the exactness argument rests
+// on, and every early exit, all occurred.
 func TestChooseServerMatchesReference(t *testing.T) {
-	var calls, found, nonFitMin, downCand, equalUtil, heavyNonFit, bwOff int
+	var calls, found, bwOff int
+	var cases refCases
 	for seed := int64(1); seed <= 150; seed++ {
 		ctx, jobs := refScenario(t, seed)
 		rng := rand.New(rand.NewSource(-seed))
@@ -421,6 +441,9 @@ func TestChooseServerMatchesReference(t *testing.T) {
 								t.Fatalf("seed %d task %d bw-off=%v weight=%v candidates %v: got (%d,%d,%v), reference (%d,%d,%v)",
 									seed, task.ID, disableBW, bw, cand, s, d, ok, rs, rd, rok)
 							}
+							if ok && !disableBW && !slices.Equal(m.volBuf, commVolumesInto(ctx, task, nil)) {
+								t.Fatalf("seed %d task %d: volumes %v, from scratch %v", seed, task.ID, m.volBuf, commVolumesInto(ctx, task, nil))
+							}
 							calls++
 							if ok {
 								found++
@@ -428,33 +451,142 @@ func TestChooseServerMatchesReference(t *testing.T) {
 							if disableBW {
 								bwOff++
 							}
-							c := refCoverage(ctx, task, cand)
-							nonFitMin += c.nonFitMin
-							downCand += c.down
-							equalUtil += c.equalUtil
-							heavyNonFit += c.heavyNonFit
+							cases.add(refCoverage(ctx, task, cand, m))
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d calls, %d found; non-fitting minimisers %d, down candidates %d, equal-utilisation fitting pairs %d, comm-heavy non-fitting %d, bandwidth off %d",
-		calls, found, nonFitMin, downCand, equalUtil, heavyNonFit, bwOff)
-	for name, n := range map[string]int{"found": found, "not found": calls - found,
-		"non-fitting minimiser": nonFitMin, "down candidate": downCand,
-		"equal distance": equalUtil, "comm-heavy non-fitting": heavyNonFit, "bandwidth off": bwOff} {
+	t.Logf("%d calls, %d found, bandwidth off %d; %+v", calls, found, bwOff, cases)
+	for name, n := range map[string]int{
+		"found":                  found,
+		"not found":              calls - found,
+		"bandwidth off":          bwOff,
+		"non-fitting minimiser":  cases.nonFitMin,
+		"down candidate":         cases.down,
+		"equal distance":         cases.equalUtil,
+		"comm-heavy non-fitting": cases.heavyNonFit,
+		"pass 1 stopping before the last candidate":                   cases.pass1Stop,
+		"pass 3 stopping past the last nonzero volume":                cases.pastLastHost,
+		"zero-volume candidate skipped by the bound":                  cases.boundSkip,
+		"zero-volume candidate at the bound ahead of the idle winner": cases.tieAhead,
+		"zero best without affinity":                                  cases.zeroBestNoComm,
+	} {
 		if n == 0 {
 			t.Errorf("no call exercised the %s case", name)
 		}
 	}
 }
 
-// refCoverage classifies one ChooseServer call by the cases the
-// exactness argument must survive.
-type refCases struct{ nonFitMin, down, equalUtil, heavyNonFit int }
+// TestChooseServerReadsNoSettledCandidate hands ChooseServer, with the
+// bandwidth term off, candidate lists whose tail past an idle fitting
+// server is an out-of-range server index: the ideal is all zero there
+// and so is the best distance, so both passes must stop before reading
+// it, and the answer is the idle server.
+func TestChooseServerReadsNoSettledCandidate(t *testing.T) {
+	var next job.TaskID
+	cl := cluster.New(cluster.Config{Servers: 3, GPUsPerServer: 4, GPUCapacity: 1,
+		CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200})
+	j := buildJob(t, job.Spec{ID: 1, Family: learncurve.MLP, Comm: job.AllReduce, ModelParallel: 2}, &next)
+	if err := cl.Place(j.Tasks[0].ID.Ref(), 0, 0, j.Tasks[0].Demand, j.Tasks[0].GPUShare); err != nil {
+		t.Fatal(err)
+	}
+	j.PlacedTasks++
+	ctx := sched.NewContext(0, cl, []*job.Job{j}, []*job.Task{j.Tasks[1]}, 0.9, 0.9)
+	m := NewMLFH()
+	m.DisableBandwidth = true
+	poison := cl.NumServers()
+	for _, c := range []struct {
+		cand []int
+		want int
+	}{
+		{[]int{1, poison}, 1},
+		{[]int{0, 1, poison}, 1},
+		{[]int{0, 2, poison, poison}, 2},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("candidates %v: read a candidate past the settled answer: %v", c.cand, r)
+				}
+			}()
+			if s, _, ok := m.ChooseServer(ctx, j.Tasks[1], c.cand); !ok || s != c.want {
+				t.Errorf("candidates %v: got server %d (ok %v), want the idle server %d", c.cand, s, ok, c.want)
+			}
+		}()
+	}
+}
 
-func refCoverage(ctx *sched.Context, task *job.Task, cand []int) refCases {
+// TestChooseServerBoundIsTight puts a communicating candidate one ulp
+// above dG ahead of an idle zero-volume one at exactly dG: the idle
+// server wins under the strict <, so a skip bound even one ulp looser
+// than the loop's own expression would pick the wrong server.
+func TestChooseServerBoundIsTight(t *testing.T) {
+	var next job.TaskID
+	cl := cluster.New(cluster.Config{Servers: 2, GPUsPerServer: 1, GPUCapacity: 1,
+		CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200})
+	j := buildJob(t, job.Spec{ID: 1, Family: learncurve.MLP, Comm: job.AllReduce, ModelParallel: 2,
+		CommVolWW: 100, GPUSharePerTask: 0.25, CPUPerTask: 1, MemPerTask: 1, BWPerTask: 1}, &next)
+	// Server 0's utilisation is (0.5+2⁻⁵³, 0, 0, 0): at the zero ideal
+	// its distance is that value, one ulp above dG = 0.5 at weight 0.5.
+	above := math.Nextafter(0.5, 1)
+	if err := cl.Place(j.Tasks[0].ID.Ref(), 0, 0, cluster.Vec{above}, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	j.PlacedTasks++
+	if d := cl.Server(0).Utilization().Distance(cluster.Vec{}); d != above {
+		t.Fatalf("setup: server 0 at distance %v, want %v", d, above)
+	}
+	ctx := sched.NewContext(0, cl, []*job.Job{j}, []*job.Task{j.Tasks[1]}, 0.9, 0.9)
+	m := NewMLFH()
+	m.BWWeight = 0.5
+	ref := newRefMLFH(NewMLFH())
+	ref.BWWeight = 0.5
+	s, _, ok := m.ChooseServer(ctx, j.Tasks[1], []int{0, 1})
+	rs, _, rok := ref.ChooseServer(ctx, j.Tasks[1], []int{0, 1})
+	if !ok || !rok || s != 1 || rs != 1 {
+		t.Fatalf("got server %d (ok %v), reference %d (ok %v); want the idle server 1", s, ok, rs, rok)
+	}
+}
+
+// refCases counts the calls that exercised each case the exactness
+// argument of ChooseServer must survive, and each of its early exits.
+type refCases struct {
+	nonFitMin, down, equalUtil, heavyNonFit int
+	// pass1Stop: the ideal over the fitting candidates is all zero
+	// before the last candidate.
+	pass1Stop int
+	// pastLastHost: the best was within dG (the distance of a
+	// zero-volume candidate at the ideal) before some candidate past
+	// the last nonzero volume.
+	pastLastHost int
+	// boundSkip: a zero-volume candidate ahead of the last nonzero
+	// volume came after the best was within dG.
+	boundSkip int
+	// tieAhead: the winner is a zero-volume candidate at exactly dG and
+	// another zero-volume candidate at exactly dG precedes it.
+	tieAhead int
+	// zeroBestNoComm: no affinity dimension and a best at distance 0.
+	zeroBestNoComm int
+}
+
+func (c *refCases) add(o refCases) {
+	c.nonFitMin += o.nonFitMin
+	c.down += o.down
+	c.equalUtil += o.equalUtil
+	c.heavyNonFit += o.heavyNonFit
+	c.pass1Stop += o.pass1Stop
+	c.pastLastHost += o.pastLastHost
+	c.boundSkip += o.boundSkip
+	c.tieAhead += o.tieAhead
+	c.zeroBestNoComm += o.zeroBestNoComm
+}
+
+// refCoverage classifies one ChooseServer call of m by the cases the
+// exactness argument must survive, replaying the reference's
+// fit-filtered passes.
+func refCoverage(ctx *sched.Context, task *job.Task, cand []int, m *MLFH) refCases {
 	var c refCases
 	fits := func(si int) bool {
 		dev := ctx.Cluster.Server(si).LeastLoadedDevice()
@@ -467,7 +599,7 @@ func refCoverage(ctx *sched.Context, task *job.Task, cand []int) refCases {
 	vol := commVolumesInto(ctx, task, nil)
 	var maxFitVol float64
 	var fitting []int
-	for _, si := range cand {
+	for k, si := range cand {
 		if !ctx.Cluster.Server(si).Up() {
 			c.down = 1
 		}
@@ -478,6 +610,9 @@ func refCoverage(ctx *sched.Context, task *job.Task, cand []int) refCases {
 		u := ctx.Cluster.Server(si).Utilization()
 		for r := range ideal {
 			ideal[r] = math.Min(ideal[r], u[r])
+		}
+		if ideal == (cluster.Vec{}) && k < len(cand)-1 {
+			c.pass1Stop = 1
 		}
 		maxFitVol = math.Max(maxFitVol, vol[si])
 	}
@@ -499,6 +634,57 @@ func refCoverage(ctx *sched.Context, task *job.Task, cand []int) refCases {
 		for _, b := range fitting[i+1:] {
 			if ctx.Cluster.Server(a).Utilization() == ctx.Cluster.Server(b).Utilization() && vol[a] == vol[b] {
 				c.equalUtil = 1
+			}
+		}
+	}
+
+	// Pass 3 of the reference, with the affinity dimension as the
+	// reference computes it.
+	var maxComm float64
+	if !m.DisableBandwidth {
+		maxComm = maxFitVol
+	}
+	bw := m.BWWeight
+	if bw <= 0 {
+		bw = 2
+	}
+	dist := func(u cluster.Vec, v float64) float64 {
+		d := u.Distance(ideal)
+		if maxComm > 0 {
+			gap := bw * (maxComm - v) / maxComm
+			d = math.Sqrt(d*d + gap*gap)
+		}
+		return d
+	}
+	dG := dist(ideal, 0)
+	zeroVol := func(si int) bool { return maxComm == 0 || vol[si] == 0 }
+	lastHost := -1
+	for i, si := range cand {
+		if !zeroVol(si) {
+			lastHost = i
+		}
+	}
+	best, bestDist := -1, math.Inf(1)
+	for i, si := range cand {
+		if bestDist <= dG {
+			switch {
+			case i > lastHost && maxComm > 0:
+				c.pastLastHost = 1
+			case i <= lastHost && zeroVol(si):
+				c.boundSkip = 1
+			}
+		}
+		if d := dist(ctx.Cluster.Server(si).Utilization(), vol[si]); d < bestDist && fits(si) {
+			best, bestDist = i, d
+		}
+	}
+	if maxComm == 0 && bestDist == 0 {
+		c.zeroBestNoComm = 1
+	}
+	if zeroVol(cand[best]) && bestDist == dG {
+		for _, si := range cand[:best] {
+			if zeroVol(si) && dist(ctx.Cluster.Server(si).Utilization(), vol[si]) == dG {
+				c.tieAhead = 1
 			}
 		}
 	}
@@ -595,19 +781,40 @@ func requireSameCluster(t *testing.T, where string, a, b *sched.Context, aJobs, 
 
 // TestMLFHRunsMatchReference requires equal Result JSON from full mlf-h
 // runs on the paper's 550-server simulation cluster, with and without
-// server failures: MLFH against the reference scheduler.
+// server failures: MLFH against the reference scheduler. The dense
+// stream keeps the cluster saturated; the Philly-density one (the real
+// trace's submission rate) leaves most servers idle, where the ideal
+// becomes the zero vector and ChooseServer's passes stop early.
 func TestMLFHRunsMatchReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four full simulations")
+		t.Skip("five full simulations")
 	}
 	const jobs = 400
-	for _, mttf := range []float64{0, 4 * 3600} {
+	dense := func() trace.Source {
+		return trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: jobs, Seed: 5, DurationSec: 3600}))
+	}
+	// The real trace's density: 117,325 submissions in 18 weeks on
+	// 2474 GPUs, which is the paper-sim cluster's size.
+	const phillyJobs = 1000
+	sparse := func() trace.Source {
+		return philly.NewSynthetic(philly.SynthConfig{Jobs: phillyJobs, Seed: 5,
+			DurationSec: phillyJobs * 18 * 7 * 24 * 3600.0 / 117_325})
+	}
+	for _, c := range []struct {
+		name   string
+		source func() trace.Source
+		mttf   float64
+	}{
+		{"dense", dense, 0},
+		{"dense-faults", dense, 4 * 3600},
+		{"philly-density", sparse, 0},
+	} {
 		run := func(s sched.Scheduler) []byte {
 			simulator, err := sim.New(sim.Config{
 				Cluster:   cluster.PaperSimConfig(),
-				Source:    trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: jobs, Seed: 5, DurationSec: 3600})),
+				Source:    c.source(),
 				Scheduler: s,
-				Failures:  sim.FailureConfig{MTTFSec: mttf, MTTRSec: 600, Seed: 7},
+				Failures:  sim.FailureConfig{MTTFSec: c.mttf, MTTRSec: 600, Seed: 7},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -616,8 +823,8 @@ func TestMLFHRunsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Counters.Migrations == 0 || mttf > 0 && res.Counters.ServerFailures == 0 {
-				t.Fatalf("mttf=%v: vacuous run (%d migrations, %d failures)", mttf, res.Counters.Migrations, res.Counters.ServerFailures)
+			if res.Counters.Migrations == 0 || c.mttf > 0 && res.Counters.ServerFailures == 0 {
+				t.Fatalf("%s: vacuous run (%d migrations, %d failures)", c.name, res.Counters.Migrations, res.Counters.ServerFailures)
 			}
 			res.Counters.ZeroVolatile()
 			b, err := json.Marshal(res)
@@ -627,7 +834,7 @@ func TestMLFHRunsMatchReference(t *testing.T) {
 			return b
 		}
 		if got, want := run(NewMLFH()), run(newRefMLFH(NewMLFH())); !bytes.Equal(got, want) {
-			t.Fatalf("mttf=%v: Result differs from the reference run\n got %s\nwant %s", mttf, got, want)
+			t.Fatalf("%s: Result differs from the reference run\n got %s\nwant %s", c.name, got, want)
 		}
 	}
 }

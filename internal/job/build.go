@@ -294,18 +294,6 @@ func (j *Job) DescendantCount() []int {
 	return counts
 }
 
-// MaxStageComputeSec returns the maximum task compute time within the
-// given stage, the stage's contribution to the critical path.
-func (j *Job) MaxStageComputeSec(stage int) float64 {
-	var m float64
-	for _, ti := range j.stages[stage] {
-		if c := j.Tasks[ti].ComputeSec; c > m {
-			m = c
-		}
-	}
-	return m
-}
-
 // GPUsRequested returns the number of GPU-consuming tasks, the paper's
 // "number of GPUs requested".
 func (j *Job) GPUsRequested() int {
