@@ -15,8 +15,9 @@ import (
 // product feeding an add or subtract is written float64(x*y), so that no
 // architecture's compiler may fuse it into a multiply-add: the batched
 // NN kernels and the per-sample paths they must match bit for bit, the
-// Adam step, the MLF-C fit's running sums and per-rate fit, and MLF-H's
-// RIAL distances.
+// Adam step, the MLF-C fit's running sums and per-rate fit, MLF-H's
+// RIAL distances, and the admission path that samples a job's record,
+// curve and observation noise.
 var fusionFreeKernels = map[string][]string{
 	"./internal/nn": {
 		"mlfs/internal/nn.mulABT",
@@ -31,6 +32,13 @@ var fusionFreeKernels = map[string][]string{
 	"./internal/learncurve": {
 		"mlfs/internal/learncurve.fitRate",
 		"mlfs/internal/learncurve.(*fitState).fold",
+		"mlfs/internal/learncurve.Family.Sample",
+		"mlfs/internal/learncurve.(*Curve).ObservedAccuracy",
+	},
+	"./internal/trace": {
+		"mlfs/internal/trace.Generate",
+		"mlfs/internal/trace.SampleRecord",
+		"mlfs/internal/trace.Materialize",
 	},
 	"./internal/core": {
 		"mlfs/internal/core.(*MLFH).ChooseServer",

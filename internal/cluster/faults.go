@@ -36,7 +36,7 @@ type FaultProcess struct {
 // mean time to failure / repair (seconds, both must be > 0) and seed.
 // Equal seeds reproduce equal event sequences.
 func NewFaultProcess(n int, mttfSec, mttrSec float64, seed int64) *FaultProcess {
-	master := rand.New(rand.NewSource(seed))
+	master := rand.New(snapshot.NewSource(seed))
 	f := &FaultProcess{
 		mttf: mttfSec,
 		mttr: mttrSec,

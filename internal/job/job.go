@@ -11,10 +11,10 @@
 // single simulator goroutine and are not safe for concurrent use.
 //
 // Determinism: job and task construction is a pure function of the trace
-// record — no clocks, no unseeded randomness. The package is not in the
-// lint DeterministicPaths registry (its determinism is pinned by the
-// simulator's bit-identity tests instead); the repo-wide epochguard,
-// floatcmp and pkgdoc checks still apply.
+// record — no clocks, no unseeded randomness — and the simulator's
+// bit-identity tests pin it. The package is enrolled in the lint
+// DeterministicPaths registry (mapiter, noclock, sharedcapture), plus
+// the repo-wide epochguard, floatcmp and pkgdoc checks.
 package job
 
 import (

@@ -12,9 +12,11 @@
 //
 // Determinism: curve parameters are sampled once from an explicitly
 // seeded source; evaluation afterwards is closed-form arithmetic, so a
-// fixed seed reproduces identical accuracy trajectories. The package is
-// not in the lint DeterministicPaths registry; the repo-wide epochguard,
-// floatcmp and pkgdoc checks still apply.
+// fixed seed reproduces identical accuracy trajectories. The per-job
+// observation-noise stream is a snapshot.Source, so its position
+// survives snapshot/restore. The package is enrolled in the lint
+// DeterministicPaths registry (mapiter, noclock, sharedcapture), plus
+// the repo-wide epochguard, floatcmp and pkgdoc checks.
 package learncurve
 
 import (
@@ -134,7 +136,7 @@ func (c *Curve) Accuracy(i int) float64 {
 func (c *Curve) ObservedAccuracy(i int) float64 {
 	a := c.Accuracy(i)
 	if c.Noise > 0 && c.rng != nil {
-		a *= 1 + c.Noise*c.rng.NormFloat64()
+		a *= 1 + float64(c.Noise*c.rng.NormFloat64())
 	}
 	return math.Max(0, math.Min(1, a))
 }

@@ -82,7 +82,7 @@ func (f Family) SequentialDAG() bool { return familySpecs[f].Sequential }
 // randomness (deterministic under a fixed seed).
 func (f Family) Sample(rng *rand.Rand) (Curve, int, float64) {
 	sp := familySpecs[f]
-	uni := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
+	uni := func(lo, hi float64) float64 { return lo + float64(rng.Float64()*(hi-lo)) }
 	c := Curve{
 		L0:     uni(sp.l0Lo, sp.l0Hi),
 		Floor:  uni(0.05, 0.3),

@@ -12,7 +12,7 @@ import (
 // (or Since/Until), the global math/rand source, or process-environment
 // reads. noclock draws the fence around whole deterministic packages;
 // detflow follows the actual call graph, so a helper in a
-// non-deterministic package (metrics, job, a future util package)
+// non-deterministic package (metrics, a future util package)
 // called from the tick loop is caught too, and package membership alone
 // is no longer a way to smuggle nondeterminism in.
 //

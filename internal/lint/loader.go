@@ -55,6 +55,8 @@ var DeterministicPaths = []string{
 	"mlfs/internal/trace",
 	"mlfs/internal/philly",
 	"mlfs/internal/serve",
+	"mlfs/internal/learncurve",
+	"mlfs/internal/job",
 }
 
 // Package is one loaded, parsed and type-checked package. Test files

@@ -1,6 +1,7 @@
 // Package noclock exercises the noclock analyzer: wall-clock reads and
-// global math/rand draws in a deterministic package, with the injected
-// *rand.Rand and constructor exemptions and the suppression directive.
+// global math/rand draws in a deterministic package, math/rand's own
+// source constructor, the injected *rand.Rand and constructor exemptions
+// and the suppression directive.
 //
 //mlfs:deterministic
 package noclock
@@ -30,8 +31,12 @@ func injectedRand(r *rand.Rand) float64 {
 	return r.Float64() // methods on an injected source: no finding
 }
 
-func constructors(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed)) // building a source: no finding
+func constructors(src rand.Source) *rand.Rand {
+	return rand.New(src) // wrapping an injected source: no finding
+}
+
+func mathRandSource(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // want "rand.NewSource in deterministic package"
 }
 
 func timeArithmeticIsFine(d time.Duration) float64 {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+
+	"mlfs/internal/snapshot"
 )
 
 // Net is a fully connected MLP with ReLU hidden activations and a linear
@@ -21,7 +23,7 @@ func NewNet(sizes []int, seed int64) *Net {
 	if len(sizes) < 2 {
 		panic("nn: need at least input and output sizes")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(snapshot.NewSource(seed))
 	n := &Net{sizes: append([]int(nil), sizes...)}
 	for l := 0; l < len(sizes)-1; l++ {
 		w := NewMatrix(sizes[l+1], sizes[l])

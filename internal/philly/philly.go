@@ -36,6 +36,7 @@ import (
 	"sort"
 	"time"
 
+	"mlfs/internal/snapshot"
 	"mlfs/internal/trace"
 )
 
@@ -141,7 +142,7 @@ func Load(r io.Reader, opts Options) (*trace.Trace, error) {
 		jobs = jobs[:opts.MaxJobs]
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(snapshot.NewSource(opts.Seed))
 	t0 := jobs[0].arrival
 	out := &trace.Trace{}
 	// Reuse the synthetic generator's sampling for the fields the real

@@ -3,6 +3,9 @@ package philly
 import (
 	"strings"
 	"testing"
+
+	"mlfs/internal/job"
+	"mlfs/internal/trace"
 )
 
 const fixture = `[
@@ -74,12 +77,14 @@ func TestLoadFixture(t *testing.T) {
 		t.Fatalf("Pass job target %v must exceed Failed job target %v", pass, fail)
 	}
 	// The trace must materialise into runnable jobs.
-	jobs, err := tr.MaterializeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 3 {
+	if len(tr.Records) != 3 {
 		t.Fatal("materialise count")
+	}
+	var next job.TaskID
+	for _, r := range tr.Records {
+		if _, err := trace.Materialize(r, &next); err != nil {
+			t.Fatalf("job %d: %v", r.JobID, err)
+		}
 	}
 }
 

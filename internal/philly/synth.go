@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"mlfs/internal/snapshot"
 	"mlfs/internal/trace"
 )
 
@@ -94,7 +95,7 @@ func (s *Synthetic) Record(i int) trace.Record {
 	jitter := float64(h>>11) / (1 << 53) // uniform [0,1), 53 bits
 	target := (float64(i) + jitter) / float64(s.cfg.Jobs) * s.mass
 	arrival := invCumIntensity(target)
-	rng := rand.New(rand.NewSource(int64(mix64(h, 0x9e3779b97f4a7c15))))
+	rng := rand.New(snapshot.NewSource(int64(mix64(h, 0x9e3779b97f4a7c15))))
 	return trace.SampleRecord(rng, s.cfg.Gen, int64(i+1), arrival)
 }
 

@@ -12,6 +12,7 @@ import (
 	"mlfs/internal/job"
 	"mlfs/internal/learncurve"
 	"mlfs/internal/metrics"
+	"mlfs/internal/snapshot"
 	"mlfs/internal/trace"
 )
 
@@ -207,7 +208,7 @@ func buildRecord(req SubmitRequest, id int64, arrival float64) (trace.Record, er
 		// consecutive ids across the seed space.
 		seed = id * -0x61c8864680b583eb
 	}
-	rec := trace.SampleRecord(rand.New(rand.NewSource(seed)), trace.GenConfig{}, id, arrival)
+	rec := trace.SampleRecord(rand.New(snapshot.NewSource(seed)), trace.GenConfig{}, id, arrival)
 	rec.Seed = seed
 	rec.GPUs = req.GPUs
 	if req.Family != "" {

@@ -28,6 +28,7 @@ import (
 
 	"mlfs/internal/job"
 	"mlfs/internal/learncurve"
+	"mlfs/internal/snapshot"
 )
 
 // Record is one job submission in a trace. TargetFrac expresses the
@@ -134,12 +135,12 @@ func sampleFamily(rng *rand.Rand) learncurve.Family {
 // 1 + 0.5·sin(2πt/day), sampled by rejection, then sorted.
 func Generate(cfg GenConfig) *Trace {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(snapshot.NewSource(cfg.Seed))
 	const day = 24 * 3600.0
 	arrivals := make([]float64, 0, cfg.Jobs)
 	for len(arrivals) < cfg.Jobs {
 		t := rng.Float64() * cfg.DurationSec
-		intensity := 1 + 0.5*math.Sin(2*math.Pi*t/day)
+		intensity := 1 + float64(0.5*math.Sin(2*math.Pi*t/day))
 		if rng.Float64()*1.5 < intensity {
 			arrivals = append(arrivals, t)
 		}
@@ -184,11 +185,11 @@ func SampleRecord(rng *rand.Rand, cfg GenConfig, id int64, arrivalSec float64) R
 		Family:           fam,
 		Comm:             comm,
 		Urgency:          1 + rng.Intn(cfg.UrgencyLevels),
-		TargetFrac:       0.70 + 0.22*rng.Float64(),
-		TrainDataMB:      100 + 900*rng.Float64(), // §4.1: U[100,1000] MB
-		CommVolPS:        50 + 50*rng.Float64(),   // §4.1: U[50,100] MB
-		CommVolWW:        50 + 50*rng.Float64(),
-		DeadlineSlackSec: (0.5 + 23.5*rng.Float64()) * 3600, // §4.1: U[0.5,24] h
+		TargetFrac:       0.70 + float64(0.22*rng.Float64()),
+		TrainDataMB:      100 + float64(900*rng.Float64()), // §4.1: U[100,1000] MB
+		CommVolPS:        50 + float64(50*rng.Float64()),   // §4.1: U[50,100] MB
+		CommVolWW:        50 + float64(50*rng.Float64()),
+		DeadlineSlackSec: (0.5 + float64(23.5*rng.Float64())) * 3600, // §4.1: U[0.5,24] h
 		StopOption:       opt,
 		AllowDowngrade:   rng.Float64() < 0.8,
 		Seed:             rng.Int63(),
@@ -199,7 +200,7 @@ func SampleRecord(rng *rand.Rand, cfg GenConfig, id int64, arrivalSec float64) R
 // makes curve sampling deterministic. nextID supplies cluster-unique task
 // ids, exactly as job.Build requires.
 func Materialize(r Record, nextID *job.TaskID) (*job.Job, error) {
-	rng := rand.New(rand.NewSource(r.Seed))
+	rng := rand.New(snapshot.NewSource(r.Seed))
 	curve, iters, iterSec := r.Family.Sample(rng)
 	curve.Seed(r.Seed ^ 0x7f4a7c159e3779b9)
 
@@ -230,14 +231,14 @@ func Materialize(r Record, nextID *job.TaskID) (*job.Job, error) {
 		MaxIterations:  iters,
 		DataParallel:   d,
 		ModelParallel:  p,
-		TotalParams:    10 + 200*rng.Float64(),
+		TotalParams:    10 + float64(200*rng.Float64()),
 		TrainDataMB:    r.TrainDataMB,
 		IterSec:        iterSec,
 		CommVolPS:      r.CommVolPS,
 		CommVolWW:      r.CommVolWW,
 		StopOption:     r.StopOption,
 		AllowDowngrade: r.AllowDowngrade,
-		MemPerTask:     4 + 12*rng.Float64(),
+		MemPerTask:     4 + float64(12*rng.Float64()),
 	}
 	j, err := job.Build(spec, nextID)
 	if err != nil {
@@ -247,20 +248,6 @@ func Materialize(r Record, nextID *job.TaskID) (*job.Job, error) {
 	// Paper §4.1: deadline = max{1.1·t_e, t_r}.
 	j.Deadline = r.ArrivalSec + math.Max(1.1*j.EstimatedRuntime, r.DeadlineSlackSec)
 	return j, nil
-}
-
-// MaterializeAll converts every record, preserving order.
-func (t *Trace) MaterializeAll() ([]*job.Job, error) {
-	var next job.TaskID
-	jobs := make([]*job.Job, 0, len(t.Records))
-	for _, r := range t.Records {
-		j, err := Materialize(r, &next)
-		if err != nil {
-			return nil, fmt.Errorf("trace: job %d: %w", r.JobID, err)
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
 }
 
 var csvHeader = []string{
@@ -422,16 +409,4 @@ func (r Record) Validate() error {
 		return fmt.Errorf("family %d: unknown", r.Family)
 	}
 	return nil
-}
-
-// Slice returns a copy of the trace restricted to the first n jobs (or all
-// if n exceeds the record count) — the paper varies job counts by taking
-// 620x and 117325x subsets (§4.1).
-func (t *Trace) Slice(n int) *Trace {
-	if n > len(t.Records) {
-		n = len(t.Records)
-	}
-	out := &Trace{DurationSec: t.DurationSec}
-	out.Records = append(out.Records, t.Records[:n]...)
-	return out
 }

@@ -133,12 +133,25 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// materializeAll converts every record of tr, preserving order, with
+// cluster-unique task ids.
+func materializeAll(t *testing.T, tr *Trace) []*job.Job {
+	t.Helper()
+	var next job.TaskID
+	jobs := make([]*job.Job, 0, len(tr.Records))
+	for _, r := range tr.Records {
+		j, err := Materialize(r, &next)
+		if err != nil {
+			t.Fatalf("job %d: %v", r.JobID, err)
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
 func TestMaterialize(t *testing.T) {
 	tr := Generate(GenConfig{Jobs: 50, Seed: 11})
-	jobs, err := tr.MaterializeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := materializeAll(t, tr)
 	if len(jobs) != 50 {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
@@ -173,14 +186,7 @@ func TestMaterialize(t *testing.T) {
 
 func TestMaterializeDeterministic(t *testing.T) {
 	tr := Generate(GenConfig{Jobs: 20, Seed: 5})
-	a, err := tr.MaterializeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tr.MaterializeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := materializeAll(t, tr), materializeAll(t, tr)
 	for i := range a {
 		if a[i].MaxIterations != b[i].MaxIterations ||
 			a[i].Deadline != b[i].Deadline ||
@@ -195,10 +201,7 @@ func TestMaterializeDeterministic(t *testing.T) {
 
 func TestSVMIsDataParallelOnly(t *testing.T) {
 	tr := Generate(GenConfig{Jobs: 2000, Seed: 13})
-	jobs, err := tr.MaterializeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := materializeAll(t, tr)
 	var found bool
 	for _, j := range jobs {
 		if j.Family == learncurve.SVM {
@@ -213,25 +216,6 @@ func TestSVMIsDataParallelOnly(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no SVM jobs in 2000-job trace")
-	}
-}
-
-func TestSlice(t *testing.T) {
-	tr := Generate(GenConfig{Jobs: 100, Seed: 17})
-	s := tr.Slice(10)
-	if len(s.Records) != 10 {
-		t.Fatalf("Slice = %d records", len(s.Records))
-	}
-	if s.Records[0] != tr.Records[0] {
-		t.Fatal("Slice must preserve prefix")
-	}
-	if all := tr.Slice(1000); len(all.Records) != 100 {
-		t.Fatal("oversized Slice must clamp")
-	}
-	// Mutating the slice must not corrupt the original.
-	s.Records[0].GPUs = 999
-	if tr.Records[0].GPUs == 999 {
-		t.Fatal("Slice must copy records")
 	}
 }
 
