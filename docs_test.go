@@ -1,6 +1,10 @@
 package mlfs
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -231,5 +235,109 @@ func TestDocsNameCommittedResults(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("found no results/ citation in the documents; the pattern is broken")
+	}
+}
+
+// configTypes are the struct type names whose fields the documents cite
+// as Type.Field.
+var configTypes = map[string]bool{"Config": true, "Options": true, "SchedulerOptions": true}
+
+// configFields returns the fields of every struct type named in
+// configTypes in the module's non-test code, keyed both by
+// "<package>.<Type>" and by "<Type>" alone (the union over packages).
+// Directories holding their own go.mod are other modules and skipped.
+func configFields(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fields := make(map[string]map[string]bool)
+	add := func(key, field string) {
+		if fields[key] == nil {
+			fields[key] = make(map[string]bool)
+		}
+		fields[key][field] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !configTypes[ts.Name.Name] {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, n := range fl.Names {
+						add(f.Name.Name+"."+ts.Name.Name, n.Name)
+						add(ts.Name.Name, n.Name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fields["sim.Config"]["FullRescan"] || !fields["mlfs.Options"]["Trace"] || !fields["SchedulerOptions"]["RLBatch"] {
+		t.Fatalf("struct scan found %v, want at least sim.Config.FullRescan, mlfs.Options.Trace and SchedulerOptions.RLBatch", fields)
+	}
+	return fields
+}
+
+// TestDocsNameDefinedFields: every Config.X, Options.X or
+// SchedulerOptions.X the documents show as code — qualified by a
+// package (`sim.Config.FullRescan`) or not (`Config.Source`) — must name
+// a field of such a struct in the module's non-test code, so deleting a
+// field cannot leave a setting behind that no longer exists.
+func TestDocsNameDefinedFields(t *testing.T) {
+	fields := configFields(t)
+	ref := regexp.MustCompile(`\b(?:(\w+)\.)?(Config|Options|SchedulerOptions)\.([A-Za-z_]\w*)`)
+	seen := 0
+	for _, doc := range docs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range codeSnippets(string(b)) {
+			for _, m := range ref.FindAllStringSubmatch(code, -1) {
+				typ := m[2]
+				if m[1] != "" {
+					typ = m[1] + "." + m[2]
+				}
+				seen++
+				if !fields[typ][m[3]] {
+					t.Errorf("%s: %q names %s.%s, but no %s struct in the module has that field",
+						doc, strings.TrimSpace(code), typ, m[3], typ)
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("found no Config/Options field citation in the documents; the pattern is broken")
 	}
 }

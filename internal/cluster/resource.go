@@ -124,27 +124,6 @@ func (v Vec) DistanceSq(w Vec) float64 {
 	return s
 }
 
-// Max returns the largest element of v.
-func (v Vec) Max() float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// LessEq reports whether v <= w element-wise.
-func (v Vec) LessEq(w Vec) bool {
-	for i := range v {
-		if v[i] > w[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AnyAbove reports whether any element of v exceeds threshold t.
 func (v Vec) AnyAbove(t float64) bool {
 	for _, x := range v {
@@ -153,17 +132,6 @@ func (v Vec) AnyAbove(t float64) bool {
 		}
 	}
 	return false
-}
-
-// NonNegative reports whether every element of v is >= 0 (within a small
-// tolerance to absorb floating-point noise from repeated add/sub).
-func (v Vec) NonNegative() bool {
-	for _, x := range v {
-		if x < -1e-9 {
-			return false
-		}
-	}
-	return true
 }
 
 // Clamp returns v with every element clamped to [0, +inf).

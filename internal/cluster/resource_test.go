@@ -64,26 +64,6 @@ func TestVecDistanceSymmetric(t *testing.T) {
 	}
 }
 
-func TestVecMax(t *testing.T) {
-	v := Vec{1, 7, 3, 4}
-	if v.Max() != 7 {
-		t.Fatalf("Max = %v, want 7", v.Max())
-	}
-	neg := Vec{-3, -1, -2, -9}
-	if neg.Max() != -1 {
-		t.Fatalf("Max = %v, want -1", neg.Max())
-	}
-}
-
-func TestVecLessEq(t *testing.T) {
-	if !(Vec{1, 1, 1, 1}).LessEq(Vec{1, 2, 1, 1}) {
-		t.Fatal("expected LessEq true")
-	}
-	if (Vec{1, 3, 1, 1}).LessEq(Vec{1, 2, 1, 1}) {
-		t.Fatal("expected LessEq false")
-	}
-}
-
 func TestVecAnyAbove(t *testing.T) {
 	v := Vec{0.1, 0.95, 0.2, 0.3}
 	if !v.AnyAbove(0.9) {
@@ -94,21 +74,9 @@ func TestVecAnyAbove(t *testing.T) {
 	}
 }
 
-func TestVecClampAndNonNegative(t *testing.T) {
-	v := Vec{-1, 2, -0.5, 0}
-	if v.NonNegative() {
-		t.Fatal("expected NonNegative false")
-	}
-	cl := v.Clamp()
-	if !cl.NonNegative() {
-		t.Fatal("Clamp result must be non-negative")
-	}
-	if cl != (Vec{0, 2, 0, 0}) {
+func TestVecClamp(t *testing.T) {
+	if cl := (Vec{-1, 2, -0.5, 0}).Clamp(); cl != (Vec{0, 2, 0, 0}) {
 		t.Fatalf("Clamp = %v", cl)
-	}
-	// Tiny negative float noise is tolerated by NonNegative.
-	if !(Vec{-1e-12, 0, 0, 0}).NonNegative() {
-		t.Fatal("NonNegative must tolerate float noise")
 	}
 }
 

@@ -141,21 +141,6 @@ func (c *Curve) ObservedAccuracy(i int) float64 {
 	return math.Max(0, math.Min(1, a))
 }
 
-// IterationsToAccuracy returns the smallest iteration count whose true
-// accuracy reaches target, or (0, false) when the target is unreachable
-// (target >= AccMax).
-func (c *Curve) IterationsToAccuracy(target float64) (int, bool) {
-	if target <= 0 {
-		return 0, true
-	}
-	if target >= c.AccMax {
-		return 0, false
-	}
-	// a(i) >= target  <=>  i >= -ln(1 - target/AccMax) / Rate.
-	i := math.Ceil(-math.Log(1-target/c.AccMax) / c.Rate)
-	return int(i), true
-}
-
 // TemporalPriority returns the temporal ML-feature factor of Eq. 2,
 //
 //	(1/I) · δl_{I−1} / Σ_{j<I} δl_j,

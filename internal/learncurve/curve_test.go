@@ -95,26 +95,6 @@ func TestAccuracyMonotoneBounded(t *testing.T) {
 	}
 }
 
-func TestIterationsToAccuracy(t *testing.T) {
-	c := testCurve()
-	i, ok := c.IterationsToAccuracy(0.8)
-	if !ok {
-		t.Fatal("0.8 < AccMax must be reachable")
-	}
-	if c.Accuracy(i) < 0.8 {
-		t.Fatalf("accuracy at returned iteration %d is %v < 0.8", i, c.Accuracy(i))
-	}
-	if i > 1 && c.Accuracy(i-1) >= 0.8 {
-		t.Fatalf("iteration %d is not minimal", i)
-	}
-	if _, ok := c.IterationsToAccuracy(0.95); ok {
-		t.Fatal("target above AccMax must be unreachable")
-	}
-	if n, ok := c.IterationsToAccuracy(0); !ok || n != 0 {
-		t.Fatal("zero target must need zero iterations")
-	}
-}
-
 func TestObservedAccuracyNoise(t *testing.T) {
 	c := testCurve()
 	// No seed -> noiseless.

@@ -32,10 +32,10 @@ type Counters struct {
 	Truncated           int // jobs cut off by the simulation horizon
 	Rejected            int // jobs larger than the whole cluster
 
-	// Incremental-round telemetry (zero under the full-rescan and dense
-	// oracles). Like SchedSeconds these depend on the execution mode —
-	// and SkippedRounds on warm skipper state a restore legitimately
-	// drops — so cross-mode and crash-replay comparisons zero them.
+	// Incremental-round telemetry (zero under the full-rescan oracle).
+	// Like SchedSeconds these depend on the execution mode — and
+	// SkippedRounds on warm skipper state a restore legitimately drops —
+	// so cross-mode and crash-replay comparisons zero them.
 	DirtyJobs     int // jobs delivered through the round change journal
 	SkippedRounds int // rounds proven no-ops and skipped (sched.RoundSkipper)
 
@@ -205,26 +205,6 @@ func CDF(sorted []float64, points []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Percentile returns the p-th percentile (0..100) of sorted values using
-// nearest-rank; it is what the paper's error bars report (1st, 50th,
-// 99th).
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }
 
 // FractionUnder returns the fraction of finished jobs with JCT below sec

@@ -86,21 +86,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {1, 10}, {50, 50}, {99, 100}, {100, 100},
-	}
-	for _, c := range cases {
-		if got := Percentile(sorted, c.p); got != c.want {
-			t.Fatalf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile must be 0")
-	}
-}
-
 func TestFractionUnder(t *testing.T) {
 	jobs := []*job.Job{
 		doneJob(1, 0, 50*60, 1e9, 0, 0.9, 0.5, 1),

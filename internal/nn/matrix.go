@@ -1,6 +1,6 @@
 // Package nn is a small from-scratch neural-network library: dense
 // matrices, an MLP with ReLU hidden layers, softmax, cross-entropy,
-// SGD/Adam optimisers and the REINFORCE policy-gradient utilities MLF-RL
+// the Adam optimiser and the REINFORCE policy-gradient utilities MLF-RL
 // needs (§3.4). Go has no ML ecosystem, so the paper's "DNN as the agent"
 // is built here on the standard library alone.
 //
@@ -73,16 +73,6 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// AddScaled adds s·other element-wise in place.
-func (m *Matrix) AddScaled(other *Matrix, s float64) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("nn: AddScaled shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += s * v
 	}
 }
 

@@ -223,16 +223,6 @@ func (n *Net) Backprop(x []float64, gradOut []float64, g *Grads) []float64 {
 	return delta
 }
 
-// ApplySGD performs one gradient-descent step: θ ← θ − lr·g.
-func (n *Net) ApplySGD(g *Grads, lr float64) {
-	for l := range n.W {
-		n.W[l].AddScaled(g.DW[l], -lr)
-		for i := range n.B[l] {
-			n.B[l][i] -= lr * g.DB[l][i]
-		}
-	}
-}
-
 // Adam is the Adam optimiser state for one Net.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

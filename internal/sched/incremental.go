@@ -91,8 +91,8 @@ func shapeDominates(big, small nofitShape) bool {
 // EnableIncremental switches the context to incremental rounds: the
 // pending-jobs list, change journal and no-fit frontier become live, and
 // PendingJobs serves from the maintained list instead of rescanning the
-// backlog. The simulator enables it for sparse (non-dense) runs unless
-// the full-rescan oracle is requested.
+// backlog. The simulator enables it unless the full-rescan oracle is
+// requested.
 func (c *Context) EnableIncremental() {
 	c.incremental = true
 	c.ResetIncremental()

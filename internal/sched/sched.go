@@ -14,7 +14,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"mlfs/internal/cluster"
 	"mlfs/internal/job"
@@ -160,17 +159,6 @@ func (c *Context) Reset(now float64, jobs []*job.Job, waiting map[job.TaskID]*jo
 
 // Jobs returns every non-finished job, ordered by id.
 func (c *Context) Jobs() []*job.Job { return c.jobs }
-
-// Waiting returns the queued tasks in deterministic (task-id) order.
-// The slice is freshly allocated; callers may reorder it.
-func (c *Context) Waiting() []*job.Task {
-	out := make([]*job.Task, 0, len(c.waiting))
-	for _, t := range c.waiting {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // NumWaiting returns the queue length.
 func (c *Context) NumWaiting() int { return len(c.waiting) }

@@ -35,14 +35,11 @@ import "math"
 //     placements exist when no job is active) and parks nothing (parked
 //     ⊆ active = ∅), a repair only flips a server back up, and the
 //     failure/repair counters count drained events independently of
-//     when they are drained. A dense run that executed every idle tick
-//     would apply the same events to the same empty cluster state.
+//     when they are drained. A loop that executed every idle tick would
+//     apply the same events to the same empty cluster state.
 //
 // Jumping the clock therefore never changes observable state; it only
-// removes ticks in which nothing could have happened. This holds in
-// both modes, which is why DenseTicks and the default sparse mode share
-// this one loop and stay bit-identical (DenseTicks instead disables the
-// hot-set optimisations: slot-recycled caches, retirement, gated scans).
+// removes ticks in which nothing could have happened.
 
 // HasPendingEvents reports whether anything can still happen: a job is
 // active (placed or queued, parked included) or arrivals remain.
@@ -76,9 +73,9 @@ func (s *Simulator) AdvanceTo(t float64) {
 }
 
 // retryHeap is a min-heap of pending retry-release times, one entry per
-// park event. It gates the per-tick release scan in sparse mode: until
-// the heap minimum falls due, releaseParked returns after one
-// comparison instead of walking the parked list. Entries are removed
+// park event. It gates the per-tick release scan: until the heap
+// minimum falls due, releaseParked returns after one comparison
+// instead of walking the parked list. Entries are removed
 // lazily — a job finished while parked leaves its entry behind, which
 // at worst triggers one spurious (and effect-free) scan when it falls
 // due. The heap is derived state: snapshots never encode it, and

@@ -167,34 +167,30 @@ func (s *Simulator) failJob(j *job.Job) {
 	backoff := s.cfg.Failures.RetryBackoffSec * math.Pow(2, float64(j.Retries-1))
 	j.NextRetryAt = s.now + backoff
 	s.parked = append(s.parked, j)
-	if !s.cfg.DenseTicks {
-		s.pushRetry(j.NextRetryAt)
-	}
+	s.pushRetry(j.NextRetryAt)
 }
 
 // releaseParked re-queues the tasks of parked jobs whose backoff has
 // expired. Parked order is the (deterministic) failure-event order, so
-// re-queue order is reproducible too. In sparse mode the scan is gated
-// by the retry min-heap: until the earliest pending release falls due
-// the whole call is one comparison. A release is never late — a parked
-// job's NextRetryAt cannot change while parked (it holds no placements,
-// so it cannot fail again), so its heap entry is exact. The only
-// release-timing side effect the gate defers is dropping jobs finished
-// while parked (stopped by a load controller); they are pruned at the
-// next fired scan instead of the next tick, which no observable state
-// depends on — snapshots encode the parked list with finished jobs
-// filtered out for exactly this reason.
+// re-queue order is reproducible too. The scan is gated by the retry
+// min-heap: until the earliest pending release falls due the whole call
+// is one comparison. A release is never late — a parked job's
+// NextRetryAt cannot change while parked (it holds no placements, so it
+// cannot fail again), so its heap entry is exact; TestHotSetInvariants
+// checks that after every tick. The only side effect the gate defers is
+// dropping jobs finished while parked (stopped by a load controller);
+// they are pruned at the next fired scan instead of the next tick,
+// which no observable state depends on — snapshots encode the parked
+// list with finished jobs filtered out for exactly this reason.
 func (s *Simulator) releaseParked() {
 	if len(s.parked) == 0 {
 		return
 	}
-	if !s.cfg.DenseTicks {
-		if len(s.retryHeap) == 0 || s.retryHeap[0] > s.now {
-			return
-		}
-		for len(s.retryHeap) > 0 && s.retryHeap[0] <= s.now {
-			s.popRetry()
-		}
+	if len(s.retryHeap) == 0 || s.retryHeap[0] > s.now {
+		return
+	}
+	for len(s.retryHeap) > 0 && s.retryHeap[0] <= s.now {
+		s.popRetry()
 	}
 	keep := s.parked[:0]
 	for _, j := range s.parked {

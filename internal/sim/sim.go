@@ -44,9 +44,9 @@ type Config struct {
 	Cluster cluster.Config
 	// Source streams the workload one record at a time and is the only
 	// way jobs enter the simulator: each job is materialised at its
-	// admission tick and, outside dense mode, retired from every hot set
-	// when it finishes, so peak memory is O(peak live jobs). A
-	// materialised trace runs through trace.NewSliceSource.
+	// admission tick and retired from every hot set when it finishes, so
+	// peak memory is O(peak live jobs). A materialised trace runs
+	// through trace.NewSliceSource.
 	Source    trace.Source //mlfs:derived read position rebuilt by restore's re-stream of the consumed prefix
 	Scheduler sched.Scheduler
 
@@ -67,21 +67,12 @@ type Config struct {
 	// and counted as truncated.
 	MaxSimSec float64
 
-	// DenseTicks disables the sparse-core hot-set optimisations —
-	// per-job caches are fixed by SimIndex instead of recycled slots,
-	// finished jobs are never retired from the scheduler context's task
-	// index, the retry-release scan runs ungated every tick and the
-	// placed-task-count gates are off. Results are bit-identical either
-	// way (the cross-check suite proves it); dense mode exists as the
-	// correctness oracle.
-	DenseTicks bool //mlfs:transient run-mode knob; a resume may legally flip it (results are bit-identical either way)
-
 	// FullRescan disables the incremental scheduling rounds of the
 	// sparse core: the context is Reset (not Advanced) every round, no
 	// change journal is delivered, PendingJobs rescans the backlog and
 	// the no-fit frontier is off. It is the round-structure correctness
 	// oracle the incremental path is cross-checked against; results are
-	// bit-identical either way. Dense mode implies it.
+	// bit-identical either way.
 	FullRescan bool //mlfs:transient run-mode knob; a resume may legally flip it (results are bit-identical either way)
 
 	// Straggler injection (§3.3.3 notes stragglers from failing hardware
@@ -259,8 +250,8 @@ type Simulator struct {
 	// Fault injection (nil / unused when Config.Failures is zero).
 	// faults yields the deterministic failure/repair event stream;
 	// parked holds jobs sitting out their retry backoff, in
-	// failure-event order. retryHeap (sparse mode, see events.go) gates
-	// the per-tick release scan on the earliest pending release.
+	// failure-event order. retryHeap (see events.go) gates the per-tick
+	// release scan on the earliest pending release.
 	faults    *cluster.FaultProcess
 	parked    []*job.Job
 	retryHeap []float64 //mlfs:derived rebuilt from the restored parked jobs' NextRetryAt
@@ -268,11 +259,9 @@ type Simulator struct {
 	// Hot-path state: one scheduling context reused for the whole run,
 	// per-job iteration-cost caches invalidated by server load epochs,
 	// and scratch buffers recycled across ticks.
-	// cache is indexed by job.SimSlot: in dense mode every job owns the
-	// slot equal to its SimIndex from admission on; in sparse mode slots
-	// are assigned at admission and recycled through freeSlots at
-	// retirement, so the cache footprint tracks peak live jobs rather
-	// than total submissions.
+	// cache is indexed by job.SimSlot: slots are assigned at admission
+	// and recycled through freeSlots at retirement, so the cache
+	// footprint tracks peak live jobs rather than total submissions.
 	ctx           *sched.Context //mlfs:derived repopulated from the restored jobs at the next Reset
 	cache         []jobIterCache //mlfs:derived epoch-keyed cache, re-sized and missed after restore
 	freeSlots     []int          //mlfs:derived rebuilt by restore's slot reassignment
@@ -313,16 +302,16 @@ func New(cfg Config) (*Simulator, error) {
 		waiting: make(map[job.TaskID]*job.Task),
 		// One context serves every round; Reset re-primes it per tick.
 		// Its task index starts empty: admission adds each materialised
-		// job and, outside dense mode, retirement removes it.
+		// job and retirement removes it.
 		ctx: sched.NewContext(0, cl, nil, nil, cfg.HR, cfg.HS),
 	}
 	if cfg.Failures.Enabled() {
 		f := cfg.Failures
 		s.faults = cluster.NewFaultProcess(cl.NumServers(), f.MTTFSec, f.MTTRSec, f.Seed)
 	}
-	// Incremental rounds are the sparse-core default; dense mode and the
-	// explicit FullRescan oracle keep the historical full-scan rounds.
-	if !cfg.DenseTicks && !cfg.FullRescan {
+	// Incremental rounds are the default; the FullRescan oracle keeps
+	// the historical full-scan rounds.
+	if !cfg.FullRescan {
 		s.ctx.EnableIncremental()
 	}
 	return s, nil
@@ -517,17 +506,10 @@ func (s *Simulator) admitArrivals() error {
 	}
 }
 
-// assignSlot gives j its cache slot: in dense mode the fixed slot equal
-// to its SimIndex, otherwise a recycled one from the free list.
+// assignSlot gives j its cache slot, a recycled one from the free list
+// when there is one.
 func (s *Simulator) assignSlot(j *job.Job) {
 	if j.SimSlot >= 0 {
-		return
-	}
-	if s.cfg.DenseTicks {
-		for len(s.cache) <= j.SimIndex {
-			s.cache = append(s.cache, jobIterCache{})
-		}
-		j.SimSlot = j.SimIndex
 		return
 	}
 	if n := len(s.freeSlots); n > 0 {
@@ -550,17 +532,15 @@ func (s *Simulator) freeSlot(j *job.Job) {
 	j.SimSlot = -1
 }
 
-// retire reduces a finalised job to its metrics tally and fires the
-// retire hook. Outside dense mode it also drops the job from every hot
-// set — the scheduler context's task index and its recycled cache slot
-// — so per-decision cost and memory track live jobs, not total
-// submissions. The job object stays valid for anyone still holding it
-// (the completed-jobs feedback buffer, a scheduler's staged rewards).
+// retire drops a finalised job from every hot set — the scheduler
+// context's task index and its recycled cache slot — so per-decision
+// cost and memory track live jobs, not total submissions, then reduces
+// it to its metrics tally and fires the retire hook. The job object
+// stays valid for anyone still holding it (the completed-jobs feedback
+// buffer, a scheduler's staged rewards).
 func (s *Simulator) retire(j *job.Job) {
-	if !s.cfg.DenseTicks {
-		s.ctx.ForgetJob(j)
-		s.freeSlot(j)
-	}
+	s.ctx.ForgetJob(j)
+	s.freeSlot(j)
 	s.tallies = append(s.tallies, metrics.TallyOf(j))
 	if s.onRetire != nil {
 		s.onRetire(j)
@@ -584,10 +564,10 @@ func (s *Simulator) wobbleDemands() {
 		return
 	}
 	for _, j := range s.active {
-		// Sparse mode: a job with nothing placed has nothing to wobble —
-		// every Lookup below would miss. Skipping it is a pure no-op that
-		// keeps the scan proportional to placed jobs, not admitted jobs.
-		if !s.cfg.DenseTicks && j.PlacedTasks == 0 {
+		// A job with nothing placed has nothing to wobble — every Lookup
+		// below would miss. Skipping it is a pure no-op that keeps the
+		// scan proportional to placed jobs, not admitted jobs.
+		if j.PlacedTasks == 0 {
 			continue
 		}
 		for _, t := range j.Tasks {
@@ -815,8 +795,7 @@ func (s *Simulator) effBW(server int) float64 {
 // becomes visible at the next round, one tick later, like any other
 // end-of-tick event. Cross-server bandwidth is summed into one partial
 // per advShardSize jobs and the partials fold in a balanced tree, so the
-// float summation order depends only on the active-job count; the dense
-// oracle runs the identical pass.
+// float summation order depends only on the active-job count.
 func (s *Simulator) advance(dt float64) {
 	still := s.activeScratch[:0]
 	fin := s.finScratch[:0]
@@ -904,10 +883,9 @@ func treeCombine(x []float64) float64 {
 // fullyPlaced reports whether every task of j is placed and, if so,
 // resolves its iteration cost in the cache against the current cluster.
 func (s *Simulator) fullyPlaced(j *job.Job) bool {
-	if !s.cfg.DenseTicks && j.PlacedTasks != len(j.Tasks) {
-		// Sparse mode: not fully placed, so no progress this tick — skip
-		// the per-task Lookup walk computeIterCost would spend proving
-		// it. The cache entry is deliberately left untouched: if it is
+	if j.PlacedTasks != len(j.Tasks) {
+		// Not fully placed, so no progress this tick — skip the per-task
+		// Lookup walk computeIterCost would spend proving it. The cache entry is deliberately left untouched: if it is
 		// still marked valid it is stale, but every eviction bumps the
 		// evicted server's epoch and epochs only increase, so the entry
 		// can never pass the freshness check again before being

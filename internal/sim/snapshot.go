@@ -38,8 +38,8 @@ import (
 // drops the rest as they pass, so restore memory is O(live), not
 // O(total). The parked list is encoded with finished-while-parked jobs
 // filtered out, because the tick at which those are pruned is the one
-// roster detail the sparse retry gate shifts; filtering makes equal
-// states encode to equal bytes in both tick modes.
+// roster detail the retry gate shifts (releaseParked); filtering keeps
+// that detail out of the encoded state.
 
 // Snapshot serialises the full dynamic state. It fails only when the
 // scheduler does not implement sched.Snapshotter.
@@ -72,10 +72,10 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	encodeJobList(w, s.recentCompleted)
 	s.encodeCancels(w)
 	// Waiting-set membership only, in sorted task-id order: schedulers
-	// consume the queue through the sorted Context.Waiting() accessor, so
-	// map insertion order carries no information (proven by the
-	// insertion-order determinism test), and sorting makes equal states
-	// encode to identical bytes.
+	// consume the queue through Context.PendingJobs and IsWaiting, never
+	// by ranging over the map, so insertion order carries no information
+	// (proven by the insertion-order determinism test), and sorting makes
+	// equal states encode to identical bytes.
 	ids := make([]int64, 0, len(s.waiting))
 	for id := range s.waiting {
 		ids = append(ids, int64(id))
@@ -121,10 +121,11 @@ func (s *Simulator) livingParked() []*job.Job {
 // Restore overlays a Snapshot payload onto a freshly constructed,
 // never-stepped simulator whose Config matches the snapshotted run
 // (same source, cluster, scheduler and simulation parameters —
-// DenseTicks, FullRescan and snapshot/stop settings are free to differ;
-// results are bit-identical in either tick mode). On any error — ErrMismatch for a snapshot of a different
-// run, ErrCorrupt for undecodable bytes — the simulator is left
-// partially overwritten and must be discarded.
+// FullRescan and snapshot/stop settings are free to differ; results are
+// bit-identical with or without incremental rounds). On any error —
+// ErrMismatch for a snapshot of a different run, ErrCorrupt for
+// undecodable bytes — the simulator is left partially overwritten and
+// must be discarded.
 func (s *Simulator) Restore(payload []byte) error {
 	snapper, ok := s.sched.(sched.Snapshotter)
 	if !ok {
@@ -205,18 +206,15 @@ func (s *Simulator) Restore(payload []byte) error {
 		return err
 	}
 	// Rebuild the derived structures the snapshot deliberately omits:
-	// cache slots for the restored active set (fixed in dense mode;
-	// otherwise assigned here in active order) and, in sparse mode, the
-	// retry-release heap, one entry per parked job at its exact release
-	// time.
+	// cache slots for the restored active set, assigned in active order,
+	// and the retry-release heap, one entry per parked job at its exact
+	// release time.
 	for _, j := range s.active {
 		s.assignSlot(j)
 	}
-	if !s.cfg.DenseTicks {
-		s.retryHeap = s.retryHeap[:0]
-		for _, j := range s.parked {
-			s.pushRetry(j.NextRetryAt)
-		}
+	s.retryHeap = s.retryHeap[:0]
+	for _, j := range s.parked {
+		s.pushRetry(j.NextRetryAt)
 	}
 	// Settle the placed-task counts from the restored cluster state.
 	for _, j := range s.active {

@@ -23,21 +23,28 @@ import (
 
 // TestIncrementalFullRescanCrossCheck runs every config of the chaos
 // matrix twice — once under the default incremental rounds, once with
-// FullRescan — and requires bitwise-equal results.
+// FullRescan — and requires bitwise-equal results, on both chaos
+// workloads: the generated trace and the synthetic Philly stream
+// (cases prefixed "stream/").
 func TestIncrementalFullRescanCrossCheck(t *testing.T) {
-	for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
-		for _, mttf := range []float64{0, 21600} {
-			name, mttf := name, mttf
-			t.Run(fmt.Sprintf("%s/workers=1/mttf=%.0f", name, mttf), func(t *testing.T) {
-				t.Parallel()
-				incremental := runToEnd(t, chaosConfig(t, name, mttf))
-				fcfg := chaosConfig(t, name, mttf)
-				fcfg.FullRescan = true
-				full := runToEnd(t, fcfg)
-				if !reflect.DeepEqual(incremental, full) {
-					t.Fatalf("incremental and full-rescan runs diverged:\nincremental: %+v\nfull-rescan: %+v", incremental, full)
-				}
-			})
+	for _, wl := range []struct {
+		prefix string
+		config func(testing.TB, string, float64) sim.Config
+	}{{"", chaosConfig}, {"stream/", sourceChaosConfig}} {
+		for _, name := range []string{"fifo", "srtf", "mlf-h", "mlf-rl"} {
+			for _, mttf := range []float64{0, 21600} {
+				wl, name, mttf := wl, name, mttf
+				t.Run(fmt.Sprintf("%s%s/workers=1/mttf=%.0f", wl.prefix, name, mttf), func(t *testing.T) {
+					t.Parallel()
+					incremental := runToEnd(t, wl.config(t, name, mttf))
+					fcfg := wl.config(t, name, mttf)
+					fcfg.FullRescan = true
+					full := runToEnd(t, fcfg)
+					if !reflect.DeepEqual(incremental, full) {
+						t.Fatalf("incremental and full-rescan runs diverged:\nincremental: %+v\nfull-rescan: %+v", incremental, full)
+					}
+				})
+			}
 		}
 	}
 }
