@@ -1,10 +1,12 @@
 # Developer entry points. `make ci` is the gate every change must pass:
 # vet, the invariant linters (the package-comment check included), the
 # full test suite (the serve-smoke parity tests included), the
-# Philly-scale streaming smoke benchmark, and the test suite again under the race
+# Philly-scale streaming smoke benchmark, the test suite again under the race
 # detector (the simulator is single-threaded, but the service runs its
 # event loop, the standby follower and the HTTP handlers on separate
-# goroutines around it). The focused
+# goroutines around it), and vet plus tests of the end-to-end benchmark
+# (perfbench/, its own module, which builds against this one's internal
+# packages, so an API change here must keep it compiling). The focused
 # targets below (docs, resume, serve-smoke, failover) are subsets of
 # that gate, kept for running one surface alone.
 # `make lint` runs cmd/mlfs-lint, the in-repo analyzer suite that
@@ -77,6 +79,7 @@ failover:
 	$(GO) test -race ./internal/serve/ -run 'TestFailover|TestPromoteOnLoss|TestStatusParity|TestBackpressure|TestOversizedSubmit|TestReadyz' -count=1 -v
 
 ci: vet lint test scale race
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Micro-benchmarks of the simulator hot path (tick loop, iteration-cost
 # cache, demand wobble), the NN engine (batched scoring, imitation

@@ -36,7 +36,7 @@ func main() {
 		gpus      = flag.Int("gpus", 0, "override: GPUs per server")
 		traceCSV  = flag.String("trace", "", "load workload from a trace CSV instead of generating")
 		list      = flag.Bool("list", false, "list scheduler names and exit")
-		sweepP    = flag.String("sweep", "", "sweep one MLF-H parameter (alpha|gamma|gamma_d|gamma_r|gamma_w|ps|hr|hs)")
+		sweepP    = flag.String("sweep", "", "sweep one parameter (alpha|gamma|gamma_d|gamma_r|gamma_w|ps|hr|hs) of -scheduler (default mlf-h)")
 		sweepV    = flag.String("values", "", "comma-separated sweep values")
 
 		mttf     = flag.Float64("mttf", 0, "mean time to server failure in seconds (0 disables fault injection)")
@@ -95,6 +95,7 @@ func main() {
 		if *resume != "" {
 			fatal(fmt.Errorf("-resume applies to a single -scheduler run, not -sweep"))
 		}
+		base.Scheduler = *scheduler
 		runSweep(base, *sweepP, *sweepV, jobCounts[0])
 		return
 	}

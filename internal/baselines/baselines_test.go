@@ -7,6 +7,7 @@ import (
 	"mlfs/internal/job"
 	"mlfs/internal/learncurve"
 	"mlfs/internal/metrics"
+	"mlfs/internal/nn"
 	"mlfs/internal/sched"
 	"mlfs/internal/sim"
 	"mlfs/internal/trace"
@@ -289,6 +290,46 @@ func TestRLSchedLearnsAndPlaces(t *testing.T) {
 	}
 	if cl.NumTasks() == 0 {
 		t.Fatal("RL baseline never placed anything")
+	}
+}
+
+// TestRLSchedRewardAfterHistoryTrim drives the RL baseline past the
+// reward-history trim (more than 4096 rounds with nothing pending) and
+// requires a decision made afterwards to train on the discounted
+// rewards of the five rounds that follow it.
+func TestRLSchedRewardAfterHistoryTrim(t *testing.T) {
+	r := NewRLSched(1)
+	// A zero-reward update sets the baseline to 0 without a step, so the
+	// matured decision moves it by exactly (1−β)·reward.
+	r.policy.ReinforceBatch(nn.NewMatrix(1, rlFeatureSize), 0, 0)
+	const decide = 4100
+	for round := 1; round < decide; round++ {
+		r.Schedule(sched.NewContext(0, testCluster(), nil, nil, 0.9, 0.9))
+	}
+	if len(r.rewards) > 4096 {
+		t.Fatalf("history of %d rewards was never trimmed", len(r.rewards))
+	}
+	var next job.TaskID
+	r.Schedule(ctxWith(buildJob(t, 1, 1, &next, nil)))
+	if len(r.pending) != 1 {
+		t.Fatalf("%d decisions pending after one single-task job, want 1", len(r.pending))
+	}
+	var want float64
+	f := 1.0
+	for i := 1; i <= 5; i++ {
+		done := buildJob(t, int64(1+i), 1, &next, nil)
+		done.Arrival, done.FinishTime = 0, float64(i)*3600
+		ctx := sched.NewContext(0, testCluster(), nil, nil, 0.9, 0.9)
+		ctx.Completed = []*job.Job{done}
+		want += f * (1 / (1 + done.JCT()/3600))
+		f *= 0.95
+		r.Schedule(ctx)
+	}
+	if len(r.pending) != 0 {
+		t.Fatal("the decision never matured")
+	}
+	if got, exp := r.policy.Baseline, (1-r.policy.BaselineBeta)*want; got != exp {
+		t.Fatalf("baseline %v after the matured decision, want %v (reward %v)", got, exp, want)
 	}
 }
 

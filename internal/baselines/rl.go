@@ -71,6 +71,9 @@ func (r *RLSched) Schedule(ctx *sched.Context) {
 
 func (r *RLSched) train() {
 	const delay = 5
+	// One reward is appended per round and the history is trimmed from
+	// the front, so rewards[i] is the reward recorded in round base+i+1.
+	base := r.round - len(r.rewards)
 	cut := 0
 	for _, d := range r.pending {
 		if r.round-d.round < delay {
@@ -79,7 +82,7 @@ func (r *RLSched) train() {
 		var rew float64
 		f := 1.0
 		for i := 0; i < delay; i++ {
-			if idx := d.round + i; idx < len(r.rewards) {
+			if idx := d.round + i - base; idx < len(r.rewards) {
 				rew += f * r.rewards[idx]
 			}
 			f *= 0.95

@@ -91,14 +91,14 @@ func benchRelieve(b *testing.B, free float64) {
 			}
 		}
 	}
-	m.relieveOverloads(ctx, prios) // sizes the scratch buffers
+	m.RelieveOverloads(ctx, prios, m.ChooseServer) // sizes the scratch buffers
 	restore()
 	b.ReportAllocs()
 	b.ResetTimer()
 	migrations := 0
 	for i := 0; i < b.N; i++ {
 		before := ctx.Migrations
-		m.relieveOverloads(ctx, prios)
+		m.RelieveOverloads(ctx, prios, m.ChooseServer)
 		migrations += ctx.Migrations - before
 		b.StopTimer()
 		restore()

@@ -35,8 +35,6 @@ type MLFH struct {
 	// utilisation imbalance.
 	BWWeight float64
 
-	// lastPriorities is kept for introspection and reuse by MLFS/MLF-C.
-	lastPriorities *Priorities //mlfs:derived recomputed every Schedule round
 	// eng backs priority computation on incremental rounds (lazily
 	// built; nil under the full-rescan oracle, which keeps exercising
 	// ComputePriorities directly).
@@ -129,10 +127,6 @@ func NewMLFH() *MLFH {
 // Name implements sched.Scheduler.
 func (m *MLFH) Name() string { return "mlf-h" }
 
-// LastPriorities returns the priorities computed by the most recent
-// round (nil before the first round).
-func (m *MLFH) LastPriorities() *Priorities { return m.lastPriorities }
-
 // Dirty implements sched.Incremental: journalled jobs drop their cached
 // priority components so the next round recomputes them.
 func (m *MLFH) Dirty(jobs []*job.Job) {
@@ -141,10 +135,11 @@ func (m *MLFH) Dirty(jobs []*job.Job) {
 	}
 }
 
-// computePriorities picks the backend: the slot-cached engine on
-// incremental rounds, the oracle otherwise. Both yield bit-identical
-// values (crosschecked by the incremental-vs-full-rescan suite).
-func (m *MLFH) computePriorities(ctx *sched.Context) *Priorities {
+// Priorities computes the round's task priorities (Eqs. 2–6). It picks
+// the backend: the slot-cached engine on incremental rounds, the oracle
+// otherwise. Both yield bit-identical values (crosschecked by the
+// incremental-vs-full-rescan suite).
+func (m *MLFH) Priorities(ctx *sched.Context) *Priorities {
 	if !ctx.Incremental() {
 		return ComputePriorities(ctx, m.Params)
 	}
@@ -156,22 +151,23 @@ func (m *MLFH) computePriorities(ctx *sched.Context) *Priorities {
 
 // Schedule implements sched.Scheduler.
 func (m *MLFH) Schedule(ctx *sched.Context) {
-	prios := m.computePriorities(ctx)
-	m.lastPriorities = prios
-	m.placeQueue(ctx, prios)
+	prios := m.Priorities(ctx)
+	m.PlaceQueue(ctx, prios, m.ChooseServer)
 	if !m.DisableMigration {
-		m.relieveOverloads(ctx, prios)
+		m.RelieveOverloads(ctx, prios, m.ChooseServer)
 		// Migrations may have freed space for still-queued tasks.
 		if ctx.NumWaiting() > 0 {
-			m.placeQueue(ctx, prios)
+			m.PlaceQueue(ctx, prios, m.ChooseServer)
 		}
 	}
 }
 
-// placeQueue drains the waiting queue in priority order, gang-placing
-// each job's queued tasks (§3.3.2: pick tasks one by one from the queue
-// and assign to underloaded nodes until none remain).
-func (m *MLFH) placeQueue(ctx *sched.Context, prios *Priorities) {
+// PlaceQueue drains the waiting queue in priority order, gang-placing
+// each job's queued tasks onto the servers choose picks (§3.3.2: pick
+// tasks one by one from the queue and assign to underloaded nodes until
+// none remain). MLF-H passes its RIAL ChooseServer; MLF-RL passes its
+// policy.
+func (m *MLFH) PlaceQueue(ctx *sched.Context, prios *Priorities, choose sched.ServerChooser) {
 	jobs := ctx.PendingJobs()
 	// Order jobs by the maximum priority among their queued tasks; the
 	// queue is task-ordered in the paper, and a job's highest-priority
@@ -204,7 +200,7 @@ func (m *MLFH) placeQueue(ctx *sched.Context, prios *Priorities) {
 			return tasks[i].ID < tasks[k].ID
 		})
 		m.taskBuf = tasks[:0]
-		ctx.PlaceGang(tasks, m.ChooseServer)
+		ctx.PlaceGang(tasks, choose)
 	}
 }
 
@@ -483,8 +479,10 @@ func (m *MLFH) fits(ctx *sched.Context, t *job.Task, i, si int) bool {
 	return m.fitState[i] == fitYes
 }
 
-// relieveOverloads walks the overloaded servers and moves out
-// ideal-virtual-task selections until each is relieved (§3.3.3). The
+// RelieveOverloads walks the overloaded servers and moves out
+// ideal-virtual-task selections until each is relieved (§3.3.3), at most
+// MaxMigrationsPerServer per server. Victims are SelectMigrationTask's;
+// choose picks each destination among the underloaded servers. The
 // destinations are drawn from one underloaded set per round, re-tested
 // only where a migration changed the load (sched.UnderloadedSet).
 //
@@ -494,7 +492,7 @@ func (m *MLFH) fits(ctx *sched.Context, t *job.Task, i, si int) bool {
 // stalls its whole job while the job's other tasks keep their GPUs, which
 // is strictly harmful — so here victims stay put until a destination
 // exists. The paper's per-task execution model tolerates requeueing.
-func (m *MLFH) relieveOverloads(ctx *sched.Context, prios *Priorities) {
+func (m *MLFH) RelieveOverloads(ctx *sched.Context, prios *Priorities, choose sched.ServerChooser) {
 	maxMig := m.MaxMigrationsPerServer
 	if maxMig <= 0 {
 		maxMig = 4
@@ -517,7 +515,7 @@ func (m *MLFH) relieveOverloads(ctx *sched.Context, prios *Priorities) {
 				break
 			}
 			m.tried = append(m.tried, victim.ID)
-			dst, dev, ok := m.ChooseServer(ctx, victim, cand)
+			dst, dev, ok := choose(ctx, victim, cand)
 			if !ok {
 				break
 			}

@@ -127,7 +127,7 @@ func TestMLFHLeavesVictimsWhenNoDestination(t *testing.T) {
 	// Single server, overloaded: no underloaded destination exists. Under
 	// the simulator's gang semantics requeueing a running task would
 	// stall its whole job, so MLF-H leaves the victim in place (see the
-	// deviation note on relieveOverloads).
+	// deviation note on RelieveOverloads).
 	cl := cluster.New(cluster.Config{Servers: 1, GPUsPerServer: 4, GPUCapacity: 1,
 		CPUCapacity: 16, MemoryCapacity: 64, BWCapacity: 1200})
 	a := buildJob(t, job.Spec{ID: 1, Family: learncurve.MLP, Comm: job.AllReduce,

@@ -55,8 +55,7 @@ func commVolumesInto(ctx *sched.Context, t *job.Task, vol []float64) []float64 {
 
 // Schedule implements sched.Scheduler.
 func (m *refMLFH) Schedule(ctx *sched.Context) {
-	prios := m.computePriorities(ctx)
-	m.lastPriorities = prios
+	prios := m.Priorities(ctx)
 	m.placeQueue(ctx, prios)
 	if !m.DisableMigration {
 		m.relieveOverloads(ctx, prios)
@@ -724,7 +723,7 @@ func TestSelectMigrationTaskMatchesReference(t *testing.T) {
 }
 
 // TestRelieveOverloadsMatchesReference runs a relief round on two
-// bit-identical seeded clusters, one with relieveOverloads and one with
+// bit-identical seeded clusters, one with RelieveOverloads and one with
 // the reference, and requires the same migrations: every task on the
 // same (server, device), every server's load bits equal, and equal
 // action counters.
@@ -739,7 +738,7 @@ func TestRelieveOverloadsMatchesReference(t *testing.T) {
 				m.MaxMigrationsPerServer, m.DisableBandwidth = maxMig, disableBW
 				ref := newRefMLFH(NewMLFH())
 				ref.MaxMigrationsPerServer, ref.DisableBandwidth = maxMig, disableBW
-				m.relieveOverloads(ctx, ComputePriorities(ctx, m.Params))
+				m.RelieveOverloads(ctx, ComputePriorities(ctx, m.Params), m.ChooseServer)
 				ref.relieveOverloads(refCtx, ComputePriorities(refCtx, ref.Params))
 				where := fmt.Sprintf("seed %d max %d bw-off=%v", seed, maxMig, disableBW)
 				requireSameCluster(t, where, ctx, refCtx, jobs, refJobs)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlfs/internal/cluster"
+	"mlfs/internal/core"
 	"mlfs/internal/metrics"
 	"mlfs/internal/sim"
 	"mlfs/internal/trace"
@@ -15,7 +16,7 @@ import (
 // legitimately non-deterministic field).
 func runSim(t testing.TB, cfg Config, reference bool) *metrics.Result {
 	t.Helper()
-	s := New(cfg)
+	s := New(cfg, core.NewMLFH())
 	if reference {
 		s.Policy().SetReference(true)
 	}
@@ -74,9 +75,9 @@ func TestImitationMinibatchMetricsInvariant(t *testing.T) {
 func TestMinibatchTakesFewerSteps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ImitationRounds = 1 << 30
-	s1 := New(cfg)
+	s1 := New(cfg, core.NewMLFH())
 	cfg.BatchSize = 16
-	s16 := New(cfg)
+	s16 := New(cfg, core.NewMLFH())
 	for _, s := range []*Scheduler{s1, s16} {
 		simulator, err := sim.New(sim.Config{
 			Cluster: cluster.Config{Servers: 6, GPUsPerServer: 4, GPUCapacity: 1,

@@ -5,11 +5,20 @@
 // first by imitating MLF-H decisions and then by REINFORCE on the
 // weighted multi-objective reward of Eq. 7.
 //
+// MLF-RL is built on an MLF-H (core.MLFH), as §3.4 builds it: each round
+// runs that MLF-H's priorities, queue order, gang-placement loop
+// (PlaceQueue) and relief loop (RelieveOverloads, with its victim
+// selection), and replaces only the choice of destination server with
+// the policy. The MLF-H's settings (priority weights, p_s, the bandwidth
+// and migration ablation switches) therefore apply to MLF-RL too. Unlike
+// MLF-H, MLF-RL moves up to 8 victims per overloaded server and does not
+// re-place the queue after relief.
+//
 // Scoring and training run on the batched nn engine: each decision's
 // candidate servers become one candidates×features matrix pushed
 // through one GEMM per layer against a reusable workspace, and the
 // scheduler's own per-decision buffers (candidate filter, feature rows,
-// migration bookkeeping) are reused across rounds, so a steady-state
+// captured decisions) are reused across rounds, so a steady-state
 // scheduling decision allocates nothing. Results are bit-identical to
 // the per-candidate path.
 //
@@ -81,9 +90,6 @@ type Config struct {
 	// simulation metrics are unchanged by imitation batching; REINFORCE
 	// batching changes the (deterministic) update trajectory.
 	BatchSize int
-	// Priority carries the Eq. 2–6 parameters used for queue ordering and
-	// feature computation.
-	Priority core.PriorityParams
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
@@ -100,7 +106,6 @@ func DefaultConfig() Config {
 		Epsilon:           0.02,
 		MaxCandidates:     16,
 		BatchSize:         1,
-		Priority:          core.DefaultPriorityParams(),
 	}
 }
 
@@ -113,31 +118,15 @@ type decision struct {
 	chosen int
 }
 
-// scoredJob pairs a job with its queue priority for the placement order.
-type scoredJob struct {
-	j *job.Job
-	p float64
-}
-
-// scoredJobs sorts by (priority desc, job id asc) without the
-// reflection overhead of sort.Slice; ids are unique, so the order is
-// total and sort.Sort is deterministic without stability.
-type scoredJobs []scoredJob
-
-func (s scoredJobs) Len() int      { return len(s) }
-func (s scoredJobs) Swap(i, k int) { s[i], s[k] = s[k], s[i] }
-func (s scoredJobs) Less(i, k int) bool {
-	if s[i].p != s[k].p {
-		return s[i].p > s[k].p
-	}
-	return s[i].j.ID < s[k].j.ID
-}
-
 // Scheduler is the MLF-RL policy. It satisfies sched.Scheduler.
 type Scheduler struct {
 	cfg    Config
 	policy *nn.Policy
-	heur   *core.MLFH // supplies migration victim selection + imitation targets
+	// heur is the MLF-H whose round MLF-RL runs: priorities, queue
+	// order, gang placement, relief and victim selection are its, and
+	// during imitation so is every destination. Only the destination
+	// chooser is MLF-RL's own.
+	heur *core.MLFH //mlfs:derived configuration plus round scratch; DecodeState drops its engine cache
 
 	round       int
 	pending     []decision
@@ -146,24 +135,21 @@ type Scheduler struct {
 	updates     int
 	imitFlushed bool // imitation leftovers stepped at the phase switch
 
-	// eng backs priority computation on incremental rounds (lazily
-	// built; nil under the full-rescan oracle, which keeps exercising
-	// core.ComputePriorities directly).
-	eng *core.PriorityEngine //mlfs:derived rebuilt from scratch after restore
+	// choose is chooseServer bound once, so handing it to heur's loops
+	// allocates nothing per round.
+	choose sched.ServerChooser //mlfs:derived bound in New
 
 	// Per-round scratch, reused so the decision hot path makes no
 	// steady-state allocations.
-	fit      []int                //mlfs:derived scratch: candidate servers passing the fit check
-	order    []scoredJob          //mlfs:derived scratch: priority-ordered pending jobs
-	taskBuf  []*job.Task          //mlfs:derived scratch: one job's queued tasks
-	tried    map[job.TaskID]bool  //mlfs:derived scratch: migration victims already attempted
-	featFree []*nn.Matrix         //mlfs:derived scratch: freelist backing decision.feats
-	overBuf  []int                //mlfs:derived scratch: the round's overloaded servers
-	under    sched.UnderloadedSet //mlfs:derived scratch: the relief round's destinations
+	prios    *core.Priorities //mlfs:derived scratch: the round's priorities, read by chooseServer
+	fit      []int            //mlfs:derived scratch: candidate servers passing the fit check
+	featFree []*nn.Matrix     //mlfs:derived scratch: freelist backing decision.feats
 }
 
-// New builds an MLF-RL scheduler.
-func New(cfg Config) *Scheduler {
+// New builds an MLF-RL scheduler on h, the MLF-H whose priorities,
+// placement order, relief loop and victim selection it runs. New sets
+// h's relief bound to 8 migrations per server.
+func New(cfg Config, h *core.MLFH) *Scheduler {
 	if cfg.Eta <= 0 || cfg.Eta > 1 {
 		cfg.Eta = 0.95
 	}
@@ -191,17 +177,14 @@ func New(cfg Config) *Scheduler {
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 0.02
 	}
-	if cfg.Priority == (core.PriorityParams{}) {
-		cfg.Priority = core.DefaultPriorityParams()
-	}
-	h := core.NewMLFH()
-	h.Params = cfg.Priority
-	return &Scheduler{
+	h.MaxMigrationsPerServer = 8
+	s := &Scheduler{
 		cfg:    cfg,
 		policy: nn.NewPolicy(FeatureSize, cfg.Hidden, cfg.LR, cfg.Seed),
 		heur:   h,
-		tried:  make(map[job.TaskID]bool, 16),
 	}
+	s.choose = s.chooseServer
+	return s
 }
 
 // Name implements sched.Scheduler.
@@ -234,34 +217,20 @@ func (s *Scheduler) Schedule(ctx *sched.Context) {
 	s.recordReward(ctx)
 	s.trainPending()
 
-	prios := s.computePriorities(ctx)
-	s.placeQueue(ctx, prios)
+	s.prios = s.heur.Priorities(ctx)
+	s.heur.PlaceQueue(ctx, s.prios, s.choose)
 	// Overload relief: victim selection stays heuristic; the destination
 	// is chosen by the policy (the action space of §3.4 includes the
-	// migration destinations).
-	s.relieveOverloads(ctx, prios)
-}
-
-// Dirty implements sched.Incremental: journalled jobs drop their cached
-// priority components so the next round recomputes them.
-func (s *Scheduler) Dirty(jobs []*job.Job) {
-	if s.eng != nil {
-		s.eng.Dirty(jobs)
+	// migration destinations). Unlike MLF-H, MLF-RL does not re-place
+	// the queue after relief.
+	if !s.heur.DisableMigration {
+		s.heur.RelieveOverloads(ctx, s.prios, s.choose)
 	}
 }
 
-// computePriorities picks the backend: the slot-cached engine on
-// incremental rounds, the oracle otherwise — bit-identical either way
-// (crosschecked by the incremental-vs-full-rescan suite).
-func (s *Scheduler) computePriorities(ctx *sched.Context) *core.Priorities {
-	if !ctx.Incremental() {
-		return core.ComputePriorities(ctx, s.cfg.Priority)
-	}
-	if s.eng == nil {
-		s.eng = &core.PriorityEngine{}
-	}
-	return s.eng.Compute(ctx, s.cfg.Priority)
-}
+// Dirty implements sched.Incremental by forwarding the round journal to
+// the MLF-H's priority engine.
+func (s *Scheduler) Dirty(jobs []*job.Job) { s.heur.Dirty(jobs) }
 
 // rewardOf evaluates Eq. 7 on the jobs completed in the window plus the
 // bandwidth used since the last round. Each objective is normalised to
@@ -304,6 +273,9 @@ func (s *Scheduler) recordReward(ctx *sched.Context) {
 // BatchSize > 1, matured decisions accumulate (in decision order) into
 // one averaged optimizer step per full minibatch.
 func (s *Scheduler) trainPending() {
+	// One reward is appended per round and the history is trimmed from
+	// the front, so rewards[i] is the reward recorded in round base+i+1.
+	base := s.round - len(s.rewards)
 	cut := 0
 	for i := range s.pending {
 		d := &s.pending[i]
@@ -312,7 +284,7 @@ func (s *Scheduler) trainPending() {
 		}
 		var r float64
 		for k := 0; k < s.cfg.RewardDelayRounds; k++ {
-			idx := d.round + k
+			idx := d.round + k - base
 			if idx < len(s.rewards) {
 				r += math.Pow(s.cfg.Eta, float64(k)) * s.rewards[idx]
 			}
@@ -332,34 +304,6 @@ func (s *Scheduler) trainPending() {
 	// Bound history growth.
 	if len(s.rewards) > 4096 && len(s.pending) == 0 {
 		s.rewards = s.rewards[len(s.rewards)-64:]
-	}
-}
-
-// placeQueue mirrors MLF-H's priority-ordered gang placement but chooses
-// each destination with the policy network.
-func (s *Scheduler) placeQueue(ctx *sched.Context, prios *core.Priorities) {
-	jobs := ctx.PendingJobs()
-	s.order = s.order[:0]
-	for _, j := range jobs {
-		s.taskBuf = ctx.QueuedTasksInto(j, s.taskBuf[:0])
-		// Skip jobs the no-fit frontier proves unplaceable before paying
-		// their ordering work (bit-identical — see Context.GangHopeless).
-		if len(s.taskBuf) == 0 || ctx.GangHopeless(s.taskBuf[0]) {
-			continue
-		}
-		s.order = append(s.order, scoredJob{j, prios.JobOrder(s.taskBuf)})
-	}
-	order := s.order
-	sort.Sort(scoredJobs(order))
-	for _, e := range order {
-		tasks := ctx.QueuedTasksInto(e.j, s.taskBuf[:0])
-		sort.SliceStable(tasks, func(i, k int) bool {
-			return prios.Of(tasks[i]) > prios.Of(tasks[k])
-		})
-		s.taskBuf = tasks[:0]
-		ctx.PlaceGang(tasks, func(c *sched.Context, t *job.Task, cand []int) (int, int, bool) {
-			return s.chooseServer(c, t, cand, prios)
-		})
 	}
 }
 
@@ -383,9 +327,10 @@ func (s *Scheduler) releaseFeats(m *nn.Matrix) {
 	s.featFree = append(s.featFree, m)
 }
 
-// chooseServer scores the candidate servers with the policy and picks one
-// (imitating MLF-H's choice during the training phase).
-func (s *Scheduler) chooseServer(ctx *sched.Context, t *job.Task, candidates []int, prios *core.Priorities) (int, int, bool) {
+// chooseServer is MLF-RL's sched.ServerChooser: it scores the candidate
+// servers with the policy and picks one (imitating MLF-H's choice during
+// the training phase).
+func (s *Scheduler) chooseServer(ctx *sched.Context, t *job.Task, candidates []int) (int, int, bool) {
 	fit := s.fit[:0]
 	for _, si := range candidates {
 		dev := ctx.Cluster.Server(si).LeastLoadedDevice()
@@ -411,7 +356,7 @@ func (s *Scheduler) chooseServer(ctx *sched.Context, t *job.Task, candidates []i
 	}
 	feats := s.policy.Candidates(len(fit))
 	for i, si := range fit {
-		FeaturesInto(feats.Row(i), ctx, t, si, prios)
+		FeaturesInto(feats.Row(i), ctx, t, si, s.prios)
 	}
 
 	var chosen int
@@ -444,48 +389,6 @@ func (s *Scheduler) chooseServer(ctx *sched.Context, t *job.Task, candidates []i
 	}
 	si := fit[chosen]
 	return si, ctx.Cluster.Server(si).LeastLoadedDevice().ID(), true
-}
-
-// relieveOverloads keeps MLF-H's ideal-virtual-task victim selection but
-// routes destinations through the policy. Like MLF-H, it never requeues
-// a victim (see the deviation note on core.MLFH.relieveOverloads), and
-// it draws destinations from one underloaded set per round.
-func (s *Scheduler) relieveOverloads(ctx *sched.Context, prios *core.Priorities) {
-	s.overBuf = ctx.Cluster.AppendOverloaded(s.overBuf[:0], ctx.HR)
-	s.under.Reset(ctx)
-	for _, si := range s.overBuf {
-		clear(s.tried)
-		for moved := 0; moved < 8; moved++ {
-			srv := ctx.Cluster.Server(si)
-			if !srv.Overloaded(ctx.HR) {
-				break
-			}
-			cand := s.under.IDs()
-			if len(cand) == 0 {
-				break
-			}
-			victim := s.heur.SelectMigrationTask(ctx, prios, si)
-			if victim == nil || s.tried[victim.ID] {
-				break
-			}
-			s.tried[victim.ID] = true
-			dst, dev, ok := s.chooseServer(ctx, victim, cand, prios)
-			if !ok {
-				break
-			}
-			if err := s.under.Migrate(ctx, victim, dst, dev); err != nil {
-				break
-			}
-		}
-	}
-}
-
-// Features builds the policy input vector for placing task t on server
-// si. Exported for tests and for the mlfs facade's introspection tools.
-func Features(ctx *sched.Context, t *job.Task, si int, prios *core.Priorities) []float64 {
-	f := make([]float64, FeatureSize)
-	FeaturesInto(f, ctx, t, si, prios)
-	return f
 }
 
 // FeaturesInto fills dst (length FeatureSize) with the policy input

@@ -1,6 +1,7 @@
 package mlfrl
 
 import (
+	"math"
 	"testing"
 
 	"mlfs/internal/cluster"
@@ -8,6 +9,7 @@ import (
 	"mlfs/internal/job"
 	"mlfs/internal/learncurve"
 	"mlfs/internal/metrics"
+	"mlfs/internal/nn"
 	"mlfs/internal/sched"
 	"mlfs/internal/sim"
 	"mlfs/internal/trace"
@@ -33,7 +35,7 @@ func buildJob(t *testing.T, id int64, gpus int, next *job.TaskID) *job.Job {
 }
 
 func TestConfigDefaultsApplied(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{}, core.NewMLFH())
 	if s.cfg.Eta != 0.95 || s.cfg.LR != 3e-4 || s.cfg.MaxCandidates != 16 {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
 	}
@@ -48,7 +50,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 func TestImitationPhaseFollowsHeuristic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ImitationRounds = 1000
-	s := New(cfg)
+	s := New(cfg, core.NewMLFH())
 	var next job.TaskID
 	j := buildJob(t, 1, 4, &next)
 	ctx := sched.NewContext(0, testCluster(), []*job.Job{j},
@@ -83,7 +85,7 @@ func TestSwitchToPolicyAndReinforce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ImitationRounds = 0 // straight to RL
 	cfg.RewardDelayRounds = 2
-	s := New(cfg)
+	s := New(cfg, core.NewMLFH())
 	cl := testCluster()
 	var next job.TaskID
 	active := []*job.Job{}
@@ -111,9 +113,54 @@ func TestSwitchToPolicyAndReinforce(t *testing.T) {
 	}
 }
 
+// TestRewardAfterHistoryTrim drives MLF-RL past the reward-history trim
+// (more than 4096 rounds with nothing pending) and requires a decision
+// made afterwards to train on the discounted rewards of the
+// RewardDelayRounds rounds that follow it.
+func TestRewardAfterHistoryTrim(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ImitationRounds = 0
+	s := New(cfg, core.NewMLFH())
+	// A zero-reward update sets the baseline to 0 without a step, so the
+	// matured decision moves it by exactly (1−β)·reward.
+	s.policy.ReinforceBatch(nn.NewMatrix(1, FeatureSize), 0, 0)
+	// Each round's bandwidth, hence its reward, is distinct.
+	ctxAt := func(round int) *sched.Context {
+		ctx := sched.NewContext(0, testCluster(), nil, nil, 0.9, 0.9)
+		ctx.RecentBandwidthMB = float64(round)
+		return ctx
+	}
+	const decide = 4100
+	for round := 1; round < decide; round++ {
+		s.Schedule(ctxAt(round))
+	}
+	if len(s.rewards) > 4096 {
+		t.Fatalf("history of %d rewards was never trimmed", len(s.rewards))
+	}
+	var next job.TaskID
+	j := buildJob(t, 1, 1, &next)
+	s.Schedule(sched.NewContext(0, testCluster(), []*job.Job{j},
+		append([]*job.Task(nil), j.Tasks...), 0.9, 0.9))
+	if len(s.pending) != 1 {
+		t.Fatalf("%d decisions pending after one single-task job, want 1", len(s.pending))
+	}
+	var want float64
+	for k := 0; k < cfg.RewardDelayRounds; k++ {
+		ctx := ctxAt(decide + 1 + k)
+		want += math.Pow(cfg.Eta, float64(k)) * s.rewardOf(ctx)
+		s.Schedule(ctx)
+	}
+	if len(s.pending) != 0 {
+		t.Fatal("the decision never matured")
+	}
+	if got, exp := s.policy.Baseline, (1-s.policy.BaselineBeta)*want; got != exp {
+		t.Fatalf("baseline %v after the matured decision, want %v (reward %v)", got, exp, want)
+	}
+}
+
 func TestRewardComposition(t *testing.T) {
 	cfg := DefaultConfig()
-	s := New(cfg)
+	s := New(cfg, core.NewMLFH())
 	var next job.TaskID
 	good := buildJob(t, 1, 1, &next)
 	good.State = job.Finished
@@ -146,10 +193,11 @@ func TestFeatureVectorShape(t *testing.T) {
 	ctx := sched.NewContext(0, testCluster(), []*job.Job{j},
 		append([]*job.Task(nil), j.Tasks...), 0.9, 0.9)
 	prios := core.ComputePriorities(ctx, core.DefaultPriorityParams())
-	f := Features(ctx, j.Tasks[0], 0, prios)
-	if len(f) != FeatureSize {
-		t.Fatalf("feature size %d, want %d", len(f), FeatureSize)
+	f := make([]float64, FeatureSize)
+	for i := range f {
+		f[i] = math.NaN()
 	}
+	FeaturesInto(f, ctx, j.Tasks[0], 0, prios)
 	for i, v := range f {
 		if v != v { // NaN
 			t.Fatalf("feature %d is NaN", i)
@@ -164,7 +212,7 @@ func TestMLFRLEndToEnd(t *testing.T) {
 		Cluster: cluster.Config{Servers: 4, GPUsPerServer: 4, GPUCapacity: 1,
 			CPUCapacity: 32, MemoryCapacity: 244, BWCapacity: 1200},
 		Source:    trace.NewSliceSource(trace.Generate(trace.GenConfig{Jobs: 25, Seed: 31, DurationSec: 2 * 3600})),
-		Scheduler: New(cfg),
+		Scheduler: New(cfg, core.NewMLFH()),
 	})
 	if err != nil {
 		t.Fatal(err)

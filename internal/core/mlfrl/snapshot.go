@@ -10,8 +10,9 @@ import (
 // history, every staged decision still waiting for its delayed reward —
 // including its captured candidate-feature matrix — and the policy's
 // full training state (weights, Adam moments, pending minibatch
-// gradient, RNG position). Per-round scratch (fit/order/tried/featFree)
-// is rebuilt on use and not persisted.
+// gradient, RNG position). Per-round scratch (prios/fit/featFree) is
+// rebuilt on use and not persisted, and the MLF-H it runs on carries no
+// state across rounds (core.MLFH.EncodeState writes nothing).
 func (s *Scheduler) EncodeState(w *snapshot.Writer) {
 	w.Int(s.round)
 	w.Int(s.imitated)
@@ -30,11 +31,14 @@ func (s *Scheduler) EncodeState(w *snapshot.Writer) {
 }
 
 // DecodeState implements sched.Snapshotter, restoring a scheduler built
-// with the same Config to the encoded mid-training state. The
+// with the same Config to the encoded mid-training state. The MLF-H's
 // priority-engine cache is derived state keyed on recycled simulator
-// slots, so a restored run starts it empty.
+// slots, so a restored run starts it empty (core.MLFH.DecodeState reads
+// nothing).
 func (s *Scheduler) DecodeState(r *snapshot.Reader) error {
-	s.eng = nil
+	if err := s.heur.DecodeState(r); err != nil {
+		return err
+	}
 	s.round = r.Int()
 	s.imitated = r.Int()
 	s.updates = r.Int()

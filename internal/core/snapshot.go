@@ -4,8 +4,7 @@ import "mlfs/internal/snapshot"
 
 // EncodeState implements sched.Snapshotter. MLF-H carries no state
 // across rounds: its struct fields are configuration fixed at
-// construction, and lastPriorities is recomputed at the start of every
-// Schedule call before any read, so nothing needs to be persisted.
+// construction or per-round scratch, so nothing needs to be persisted.
 func (*MLFH) EncodeState(*snapshot.Writer) {}
 
 // DecodeState implements sched.Snapshotter. The priority-engine cache

@@ -45,7 +45,7 @@ func hotSetScheduler(t *testing.T, name string) sched.Scheduler {
 		cfg := mlfrl.DefaultConfig()
 		cfg.Seed = 1
 		cfg.ImitationRounds = 30
-		return mlfrl.New(cfg)
+		return mlfrl.New(cfg, core.NewMLFH())
 	case "tensorflow":
 		return baselines.NewBorgFair()
 	}

@@ -62,8 +62,9 @@ func (s *composite) Schedule(ctx *sched.Context) {
 }
 
 // Dirty implements sched.Incremental by forwarding the round journal to
-// MLF-RL's priority engine. MLF-C keeps no per-job caches (it reads the
-// live context each Control call), so it needs no notification.
+// MLF-RL, which hands it to its MLF-H's priority engine. MLF-C keeps no
+// per-job caches (it reads the live context each Control call), so it
+// needs no notification.
 func (s *composite) Dirty(jobs []*job.Job) { s.rl.Dirty(jobs) }
 
 // EncodeState implements sched.Snapshotter by concatenating the RL
@@ -81,8 +82,11 @@ func (s *composite) DecodeState(r *snapshot.Reader) error {
 	return s.c.DecodeState(r)
 }
 
-// SchedulerOptions tune the MLFS-family schedulers. The zero value means
-// the paper's §4.1 defaults.
+// SchedulerOptions tune the MLFS-family schedulers (mlf-h, mlf-rl and
+// mlfs). The zero value means the paper's §4.1 defaults. MLF-RL and MLFS
+// are built on MLF-H, so the priority weights, PSFraction and the
+// ablation switches reach all three; ImitationRounds, Betas and RLBatch
+// reach mlf-rl and mlfs only. The baselines use Seed alone.
 type SchedulerOptions struct {
 	// Seed drives RL policy randomness (default 1).
 	Seed int64
@@ -101,7 +105,8 @@ type SchedulerOptions struct {
 	// updates, bit-identical to the historical training schedule).
 	RLBatch int
 
-	// Ablation switches (Figs. 6–9).
+	// Ablation switches (Figs. 6–9), for mlf-h, mlf-rl and mlfs alike.
+	// DisableMigration turns overload relief off.
 	DisableUrgency   bool
 	DisableDeadline  bool
 	DisableBandwidth bool
@@ -141,9 +146,10 @@ func (o SchedulerOptions) mlfh() *core.MLFH {
 	return h
 }
 
+// mlfrl builds MLF-RL on the MLF-H that mlf-h itself gets, so the
+// priority weights and every ablation switch reach it too.
 func (o SchedulerOptions) mlfrl() *mlfrl.Scheduler {
 	cfg := mlfrl.DefaultConfig()
-	cfg.Priority = o.priorityParams()
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
@@ -156,7 +162,7 @@ func (o SchedulerOptions) mlfrl() *mlfrl.Scheduler {
 	if o.RLBatch > 0 {
 		cfg.BatchSize = o.RLBatch
 	}
-	return mlfrl.New(cfg)
+	return mlfrl.New(cfg, o.mlfh())
 }
 
 // SchedulerNames lists every policy NewScheduler accepts, in the order

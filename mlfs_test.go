@@ -1,6 +1,7 @@
 package mlfs
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"testing"
 )
@@ -110,6 +111,52 @@ func TestSchedulerOptionsOverrides(t *testing.T) {
 	d := SchedulerOptions{}.mlfh()
 	if d.Params.Alpha != 0.3 || d.PS != 0.1 {
 		t.Fatalf("defaults wrong: %+v", d)
+	}
+}
+
+// TestAblationSwitchesReachMLFSFamily requires each ablation switch of
+// SchedulerOptions that configures MLF-H (p_s, the bandwidth term,
+// migration) to change the Result of every scheduler built on MLF-H,
+// and DisableMigration to leave no migration at all.
+func TestAblationSwitchesReachMLFSFamily(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve full simulations")
+	}
+	fingerprint := func(name string, o SchedulerOptions) (string, int) {
+		o.Seed = 11
+		res, err := Run(Options{Scheduler: name, Jobs: 60, Seed: 11, SchedOpts: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Counters.ZeroVolatile()
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), res.Counters.Migrations
+	}
+	switches := []struct {
+		name string
+		opts SchedulerOptions
+	}{
+		{"ps", SchedulerOptions{PSFraction: 0.5}},
+		{"no-bandwidth", SchedulerOptions{DisableBandwidth: true}},
+		{"no-migration", SchedulerOptions{DisableMigration: true}},
+	}
+	for _, name := range []string{"mlfs", "mlf-rl", "mlf-h"} {
+		def, defMig := fingerprint(name, SchedulerOptions{})
+		if defMig == 0 {
+			t.Fatalf("%s: the default run migrates nothing, so no switch can show", name)
+		}
+		for _, sw := range switches {
+			got, mig := fingerprint(name, sw.opts)
+			if got == def {
+				t.Errorf("%s/%s: Result identical to the default run", name, sw.name)
+			}
+			if sw.opts.DisableMigration && mig != 0 {
+				t.Errorf("%s/%s: %d migrations, want 0", name, sw.name, mig)
+			}
+		}
 	}
 }
 

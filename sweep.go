@@ -12,13 +12,17 @@ type SweepPoint struct {
 	Result *Result
 }
 
-// Sweep runs MLF-H (or MLFS for the h_s sweep) across values of one named
-// parameter, holding the workload fixed — the sensitivity studies DESIGN.md
-// calls out for the design choices α, γ, p_s and h_r (the paper discusses
-// each knob's trade-off in §3.3 and leaves sensitivity as future work).
+// Sweep runs one scheduler (base.Scheduler, default MLF-H) across values
+// of one named parameter, holding the workload fixed — the sensitivity
+// studies DESIGN.md calls out for the design choices α, γ, p_s and h_r
+// (the paper discusses each knob's trade-off in §3.3 and leaves
+// sensitivity as future work).
 //
 // Supported parameters: "alpha", "gamma", "gamma_d", "gamma_r", "gamma_w",
-// "ps", "hr", "hs".
+// "ps", "hr", "hs". The priority weights and p_s configure MLF-H, so they
+// reach mlf-h, mlf-rl and mlfs (which are built on it) and no baseline;
+// h_r is the overload threshold every scheduler sees; h_s is read only
+// by MLF-C, so only an mlfs sweep moves with it.
 //
 // Sweep points are independent simulations over a shared workload, so
 // they execute in parallel across CPUs (mirroring Compare); each run is
