@@ -26,24 +26,26 @@ var resultFingerprints = map[string]string{
 	"tiresias/mttf=14400": "c119369761cb252b",
 	"gandiva/mttf=0":      "d216da3def1a5e22",
 	"gandiva/mttf=14400":  "25ef50a3d825d2c2",
+	"rl/mttf=0":           "08da8ef8ae2391e6",
+	"rl/mttf=14400":       "3c069f53f4a2a12b",
 }
 
-// TestResultFingerprints runs {mlfs, mlf-rl, tiresias, gandiva} × {no
-// faults, MTTF 4 h} at 60 jobs and requires each Result to hash to its
-// pinned fingerprint. The four schedulers have very different action
-// mixes (Tiresias never migrates, Gandiva migrates heavily, MLF-RL
-// trains a policy network, MLFS adds MLF-C's early stops), and the fault
+// TestResultFingerprints runs {mlfs, mlf-rl, tiresias, gandiva, rl} ×
+// {no faults, MTTF 4 h} at 60 jobs and requires each Result to hash to
+// its pinned fingerprint. The five schedulers have very different action
+// mixes (Tiresias never migrates, Gandiva migrates heavily, MLF-RL and
+// rl train a policy network, MLFS adds MLF-C's early stops), and the fault
 // runs add evictions, rollbacks, restarts and kills. Other architectures
 // may fuse floating-point multiply-adds and land on different bits, so
 // the pins hold on amd64 only.
 func TestResultFingerprints(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight full simulations")
+		t.Skip("ten full simulations")
 	}
 	if runtime.GOARCH != "amd64" {
 		t.Skip("fingerprints are pinned for amd64 floating point")
 	}
-	for _, name := range []string{"mlfs", "mlf-rl", "tiresias", "gandiva"} {
+	for _, name := range []string{"mlfs", "mlf-rl", "tiresias", "gandiva", "rl"} {
 		for _, mttf := range []float64{0, 4 * 3600} {
 			name, mttf := name, mttf
 			key := fmt.Sprintf("%s/mttf=%.0f", name, mttf)
@@ -122,6 +124,50 @@ func TestPaperSimFingerprints(t *testing.T) {
 			sum := sha256.Sum256(b)
 			got := hex.EncodeToString(sum[:8])
 			if want := paperSimFingerprints[key]; got != want {
+				t.Fatalf("Result fingerprint %q, pinned %q: simulation results changed", got, want)
+			}
+		})
+	}
+}
+
+// paperRealFingerprints pins, like resultFingerprints, the three
+// learned schedulers at 620 jobs on the paper-real cluster (seed 1, the
+// published Figure-4 cell). Their policies run past the warm-up there,
+// so a one-ulp change in the discounted reward or the training loop
+// shows here when the 60-job cells and the 155-job published rows miss
+// it.
+var paperRealFingerprints = map[string]string{
+	"rl":     "4a46262043427fe0",
+	"mlf-rl": "73b29d6b474dbabd",
+	"mlfs":   "1a6394971faa4c88",
+}
+
+// TestPaperRealFingerprints runs each scheduler of paperRealFingerprints
+// at 620 jobs on the paper-real cluster and requires its Result to hash
+// to the pin (amd64 only, as above).
+func TestPaperRealFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 620-job simulations")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fingerprints are pinned for amd64 floating point")
+	}
+	for _, name := range []string{"rl", "mlf-rl", "mlfs"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(Options{Scheduler: name, Preset: PaperReal, Jobs: 620, Seed: 1, SchedOpts: SchedulerOptions{Seed: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Counters.ZeroVolatile()
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			got := hex.EncodeToString(sum[:8])
+			if want := paperRealFingerprints[name]; got != want {
 				t.Fatalf("Result fingerprint %q, pinned %q: simulation results changed", got, want)
 			}
 		})
