@@ -137,7 +137,7 @@ func TestPaperSimFingerprints(t *testing.T) {
 // shows here when the 60-job cells and the 155-job published rows miss
 // it.
 var paperRealFingerprints = map[string]string{
-	"rl":     "4a46262043427fe0",
+	"rl":     "e30d33cfea4c5712",
 	"mlf-rl": "73b29d6b474dbabd",
 	"mlfs":   "1a6394971faa4c88",
 }

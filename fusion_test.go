@@ -15,9 +15,10 @@ import (
 // product feeding an add or subtract is written float64(x*y), so that no
 // architecture's compiler may fuse it into a multiply-add: the batched
 // NN kernels and the per-sample paths they must match bit for bit, the
-// Adam step, the MLF-C fit's running sums and per-rate fit, MLF-H's
-// RIAL distances, and the admission path that samples a job's record,
-// curve and observation noise.
+// Adam step, the learner's delayed credit and REINFORCE baseline, the
+// MLF-C fit's running sums and per-rate fit, MLF-H's RIAL distances,
+// and the admission path that samples a job's record, curve and
+// observation noise.
 var fusionFreeKernels = map[string][]string{
 	"./internal/nn": {
 		"mlfs/internal/nn.mulABT",
@@ -28,6 +29,8 @@ var fusionFreeKernels = map[string][]string{
 		"mlfs/internal/nn.(*Matrix).MulVec",
 		"mlfs/internal/nn.(*Matrix).MulVecT",
 		"mlfs/internal/nn.(*Net).Backprop",
+		"mlfs/internal/nn.(*Policy).AccumReinforce",
+		"mlfs/internal/nn.(*Learner).credit",
 	},
 	"./internal/learncurve": {
 		"mlfs/internal/learncurve.fitRate",

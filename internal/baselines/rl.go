@@ -20,27 +20,21 @@ const rlFeatureSize = 9
 // placement policy whose reward is job completion time only. Jobs are
 // scanned in FIFO order; each task's destination is sampled from a
 // softmax policy trained by REINFORCE; no accuracy or ML features enter
-// the state, and there is no overload handling.
+// the state, and there is no overload handling. Its first 100 rounds
+// imitate least-loaded placement so the policy starts from something
+// functional.
 type RLSched struct {
-	policy *nn.Policy
-	warmup int // rounds of least-loaded imitation before the policy drives
-	round  int
+	learner *nn.Learner
 
-	pending []rlDecision
-	rewards []float64
-}
-
-type rlDecision struct {
-	round      int
-	candidates [][]float64
-	chosen     int
+	fit []int //mlfs:derived scratch: the candidate shortlist
 }
 
 // NewRLSched returns the RL baseline with a deterministic seed.
 func NewRLSched(seed int64) *RLSched {
+	// 100 warm-up rounds; credit 5 rounds on, discounted by η = 0.95;
+	// one optimiser step per decision.
 	return &RLSched{
-		policy: nn.NewPolicy(rlFeatureSize, []int{24, 12}, 1e-3, seed),
-		warmup: 100,
+		learner: nn.NewLearner(nn.NewPolicy(rlFeatureSize, []int{24, 12}, 1e-3, seed), 100, 5, 0.95, 1),
 	}
 }
 
@@ -49,7 +43,6 @@ func (*RLSched) Name() string { return "rl" }
 
 // Schedule implements sched.Scheduler.
 func (r *RLSched) Schedule(ctx *sched.Context) {
-	r.round++
 	// JCT-only reward: 1/(1 + avg JCT of the window's completions).
 	reward := 0.0
 	if n := len(ctx.Completed); n > 0 {
@@ -59,8 +52,7 @@ func (r *RLSched) Schedule(ctx *sched.Context) {
 		}
 		reward = 1 / (1 + sum/float64(n)/3600)
 	}
-	r.rewards = append(r.rewards, reward)
-	r.train()
+	r.learner.BeginRound(reward)
 
 	jobs := ctx.PendingJobs()
 	sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
@@ -69,79 +61,35 @@ func (r *RLSched) Schedule(ctx *sched.Context) {
 	}
 }
 
-func (r *RLSched) train() {
-	const delay = 5
-	// One reward is appended per round and the history is trimmed from
-	// the front, so rewards[i] is the reward recorded in round base+i+1.
-	base := r.round - len(r.rewards)
-	cut := 0
-	for _, d := range r.pending {
-		if r.round-d.round < delay {
-			break
-		}
-		var rew float64
-		f := 1.0
-		for i := 0; i < delay; i++ {
-			if idx := d.round + i - base; idx < len(r.rewards) {
-				rew += f * r.rewards[idx]
-			}
-			f *= 0.95
-		}
-		r.policy.Reinforce(d.candidates, d.chosen, rew)
-		cut++
-	}
-	r.pending = r.pending[cut:]
-	if len(r.rewards) > 4096 && len(r.pending) == 0 {
-		r.rewards = r.rewards[len(r.rewards)-64:]
-	}
-}
-
 func (r *RLSched) choose(ctx *sched.Context, t *job.Task, candidates []int) (int, int, bool) {
-	fit := make([]int, 0, len(candidates))
-	for _, si := range candidates {
-		dev := ctx.Cluster.Server(si).LeastLoadedDevice()
-		if ctx.Cluster.Fits(si, dev.ID(), t.Demand, t.GPUShare, ctx.HR) {
-			fit = append(fit, si)
-		}
-	}
+	fit := sched.FitShortlist(r.fit, ctx, t, candidates, 16)
+	r.fit = fit
 	if len(fit) == 0 {
 		return 0, 0, false
 	}
-	if len(fit) > 16 {
-		sort.SliceStable(fit, func(i, k int) bool {
-			a := ctx.Cluster.Server(fit[i]).OverloadDegree()
-			b := ctx.Cluster.Server(fit[k]).OverloadDegree()
-			if a != b {
-				return a < b
-			}
-			return fit[i] < fit[k]
-		})
-		fit = fit[:16]
-	}
-	feats := make([][]float64, len(fit))
+	x := r.learner.Policy().Candidates(len(fit))
 	for i, si := range fit {
-		feats[i] = r.features(ctx, t, si)
+		rlFeaturesInto(x.Row(i), ctx, t, si)
 	}
-	if r.round <= r.warmup {
-		// Warm-up imitation of least-loaded placement so the policy starts
-		// from something functional.
-		best := 0
+	var chosen int
+	if r.learner.Imitating() {
+		// Warm-up: imitate least-loaded placement.
 		for i, si := range fit {
-			if ctx.Cluster.Server(si).OverloadDegree() < ctx.Cluster.Server(fit[best]).OverloadDegree() {
-				best = i
+			if ctx.Cluster.Server(si).OverloadDegree() < ctx.Cluster.Server(fit[chosen]).OverloadDegree() {
+				chosen = i
 			}
 		}
-		r.policy.Imitate(feats, best)
-		si := fit[best]
-		return si, ctx.Cluster.Server(si).LeastLoadedDevice().ID(), true
+		r.learner.Imitate(x, chosen)
+	} else {
+		chosen = r.learner.Decide(x, true)
 	}
-	chosen, _ := r.policy.Choose(feats, true)
-	r.pending = append(r.pending, rlDecision{round: r.round, candidates: feats, chosen: chosen})
 	si := fit[chosen]
 	return si, ctx.Cluster.Server(si).LeastLoadedDevice().ID(), true
 }
 
-func (r *RLSched) features(ctx *sched.Context, t *job.Task, si int) []float64 {
+// rlFeaturesInto writes the RL baseline's features for placing t on si
+// into dst (length rlFeatureSize).
+func rlFeaturesInto(dst []float64, ctx *sched.Context, t *job.Task, si int) {
 	srv := ctx.Cluster.Server(si)
 	u := srv.Utilization()
 	wait := 0.0
@@ -151,7 +99,7 @@ func (r *RLSched) features(ctx *sched.Context, t *job.Task, si int) []float64 {
 			wait = 24
 		}
 	}
-	return []float64{
+	f := [rlFeatureSize]float64{
 		t.ComputeSec / 60,
 		float64(len(t.Children())) / 8,
 		wait / 24,
@@ -162,4 +110,5 @@ func (r *RLSched) features(ctx *sched.Context, t *job.Task, si int) []float64 {
 		u[cluster.ResBandwidth],
 		srv.LeastLoadedDevice().Utilization(),
 	}
+	copy(dst, f[:])
 }

@@ -5,8 +5,8 @@ import "mlfs/internal/snapshot"
 // Every baseline implements sched.Snapshotter. The heuristics are pure
 // functions of the round context (their structs hold configuration set
 // at construction, never mutated), so their snapshot state is empty;
-// only the RL baseline carries cross-round state — its policy network,
-// staged decisions and reward history.
+// only the RL baseline carries cross-round state — its learner (policy
+// network, staged decisions and reward ring).
 
 // EncodeState implements sched.Snapshotter (stateless).
 func (*BorgFair) EncodeState(*snapshot.Writer) {}
@@ -65,55 +65,8 @@ func (s *SRTF) DecodeState(*snapshot.Reader) error {
 	return nil
 }
 
-// EncodeState implements sched.Snapshotter: round counter, staged
-// (not-yet-rewarded) decisions with their candidate features, the
-// reward history window and the full policy training state.
-func (r *RLSched) EncodeState(w *snapshot.Writer) {
-	w.Int(r.round)
-	w.Int(len(r.pending))
-	for _, d := range r.pending {
-		w.Int(d.round)
-		w.Int(len(d.candidates))
-		for _, f := range d.candidates {
-			w.Floats(f)
-		}
-		w.Int(d.chosen)
-	}
-	w.Floats(r.rewards)
-	r.policy.EncodeState(w)
-}
+// EncodeState implements sched.Snapshotter: the learner's state.
+func (r *RLSched) EncodeState(w *snapshot.Writer) { r.learner.EncodeState(w) }
 
 // DecodeState implements sched.Snapshotter.
-func (r *RLSched) DecodeState(rd *snapshot.Reader) error {
-	r.round = rd.Int()
-	n := rd.Len()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	r.pending = r.pending[:0]
-	for i := 0; i < n; i++ {
-		var d rlDecision
-		d.round = rd.Int()
-		nc := rd.Len()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		d.candidates = make([][]float64, nc)
-		for c := range d.candidates {
-			d.candidates[c] = rd.Floats()
-			if len(d.candidates[c]) != rlFeatureSize {
-				return snapshot.Corruptf("rl candidate has %d features, want %d", len(d.candidates[c]), rlFeatureSize)
-			}
-		}
-		d.chosen = rd.Int()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		if d.chosen < 0 || d.chosen >= nc {
-			return snapshot.Corruptf("rl decision chose candidate %d of %d", d.chosen, nc)
-		}
-		r.pending = append(r.pending, d)
-	}
-	r.rewards = rd.Floats()
-	return r.policy.DecodeState(rd)
-}
+func (r *RLSched) DecodeState(rd *snapshot.Reader) error { return r.learner.DecodeState(rd) }

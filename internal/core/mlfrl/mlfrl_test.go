@@ -12,6 +12,7 @@ import (
 	"mlfs/internal/nn"
 	"mlfs/internal/sched"
 	"mlfs/internal/sim"
+	"mlfs/internal/snapshot"
 	"mlfs/internal/trace"
 )
 
@@ -35,12 +36,15 @@ func buildJob(t *testing.T, id int64, gpus int, next *job.TaskID) *job.Job {
 }
 
 func TestConfigDefaultsApplied(t *testing.T) {
-	s := New(Config{}, core.NewMLFH())
-	if s.cfg.Eta != 0.95 || s.cfg.LR != 3e-4 || s.cfg.MaxCandidates != 16 {
+	s := New(Config{ImitationRounds: -3}, core.NewMLFH())
+	if s.cfg.RewardDelayRounds != 5 || s.cfg.BatchSize != 1 || s.cfg.ImitationRounds != 0 {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
 	}
 	if s.cfg.Betas != DefaultConfig().Betas {
 		t.Fatal("beta defaults")
+	}
+	if !s.Trained() {
+		t.Fatal("a negative ImitationRounds must mean no imitation")
 	}
 	if s.Name() != "mlf-rl" {
 		t.Fatal("name")
@@ -113,9 +117,10 @@ func TestSwitchToPolicyAndReinforce(t *testing.T) {
 	}
 }
 
-// TestRewardAfterHistoryTrim drives MLF-RL past the reward-history trim
-// (more than 4096 rounds with nothing pending) and requires a decision
-// made afterwards to train on the discounted rewards of the
+// TestRewardAfterHistoryTrim drives MLF-RL through 4,100 rounds, past
+// the point where it once trimmed its reward history and through
+// hundreds of turns of its reward ring, and requires a decision made
+// afterwards to train on the discounted rewards of the
 // RewardDelayRounds rounds that follow it.
 func TestRewardAfterHistoryTrim(t *testing.T) {
 	cfg := DefaultConfig()
@@ -123,7 +128,8 @@ func TestRewardAfterHistoryTrim(t *testing.T) {
 	s := New(cfg, core.NewMLFH())
 	// A zero-reward update sets the baseline to 0 without a step, so the
 	// matured decision moves it by exactly (1−β)·reward.
-	s.policy.ReinforceBatch(nn.NewMatrix(1, FeatureSize), 0, 0)
+	policy := s.Policy()
+	policy.ReinforceBatch(nn.NewMatrix(1, FeatureSize), 0, 0)
 	// Each round's bandwidth, hence its reward, is distinct.
 	ctxAt := func(round int) *sched.Context {
 		ctx := sched.NewContext(0, testCluster(), nil, nil, 0.9, 0.9)
@@ -134,27 +140,52 @@ func TestRewardAfterHistoryTrim(t *testing.T) {
 	for round := 1; round < decide; round++ {
 		s.Schedule(ctxAt(round))
 	}
-	if len(s.rewards) > 4096 {
-		t.Fatalf("history of %d rewards was never trimmed", len(s.rewards))
-	}
 	var next job.TaskID
 	j := buildJob(t, 1, 1, &next)
 	s.Schedule(sched.NewContext(0, testCluster(), []*job.Job{j},
 		append([]*job.Task(nil), j.Tasks...), 0.9, 0.9))
-	if len(s.pending) != 1 {
-		t.Fatalf("%d decisions pending after one single-task job, want 1", len(s.pending))
-	}
 	var want float64
 	for k := 0; k < cfg.RewardDelayRounds; k++ {
+		if s.Updates() != 0 {
+			t.Fatalf("decision credited %d rounds after it was made, want %d", k, cfg.RewardDelayRounds)
+		}
 		ctx := ctxAt(decide + 1 + k)
-		want += math.Pow(cfg.Eta, float64(k)) * s.rewardOf(ctx)
+		want += math.Pow(eta, float64(k)) * s.rewardOf(ctx)
 		s.Schedule(ctx)
 	}
-	if len(s.pending) != 0 {
-		t.Fatal("the decision never matured")
+	if s.Updates() != 1 {
+		t.Fatalf("%d decisions credited, want the one single-task decision", s.Updates())
 	}
-	if got, exp := s.policy.Baseline, (1-s.policy.BaselineBeta)*want; got != exp {
+	if got, exp := policy.Baseline, (1-policy.BaselineBeta)*want; got != exp {
 		t.Fatalf("baseline %v after the matured decision, want %v (reward %v)", got, exp, want)
+	}
+}
+
+// TestStateBounded runs MLF-RL with a decision in every round: its
+// snapshot holds the last RewardDelayRounds rounds' decisions and
+// rewards, so its size does not grow with the run. Between 300 and 600
+// rounds every varint counter in it (round, phase counters, RNG draws)
+// stays two bytes wide, so the sizes are equal.
+func TestStateBounded(t *testing.T) {
+	size := func(rounds int) int {
+		cfg := DefaultConfig()
+		cfg.ImitationRounds = 0
+		s := New(cfg, core.NewMLFH())
+		var next job.TaskID
+		for round := 1; round <= rounds; round++ {
+			j := buildJob(t, int64(round), 1, &next)
+			s.Schedule(sched.NewContext(0, testCluster(), []*job.Job{j},
+				append([]*job.Task(nil), j.Tasks...), 0.9, 0.9))
+		}
+		if want := rounds - cfg.RewardDelayRounds; s.Updates() != want {
+			t.Fatalf("%d decisions credited after %d rounds, want %d", s.Updates(), rounds, want)
+		}
+		w := snapshot.NewWriter()
+		s.EncodeState(w)
+		return len(w.Bytes())
+	}
+	if a, b := size(300), size(600); a != b {
+		t.Fatalf("MLF-RL state is %d bytes after 300 rounds and %d after 600", a, b)
 	}
 }
 

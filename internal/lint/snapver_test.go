@@ -23,6 +23,7 @@ import (
 var snapverPinned = map[uint32]uint64{
 	7: 0x3c114978bc205022,
 	8: 0xa044390eaa4f2b66,
+	9: 0x51fd3873fd6f09c9,
 }
 
 // TestSnapshotVersionGuard fails when the snapshot payload schema — the

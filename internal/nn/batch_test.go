@@ -122,28 +122,23 @@ func netsEqual(t *testing.T, a, b *Net) {
 func TestPolicyBatchedMatchesReference(t *testing.T) {
 	batched, reference := policyPair(41)
 	rng := rand.New(rand.NewSource(5))
-	cands := make([][]float64, 12)
 	for step := 0; step < 120; step++ {
 		nc := 2 + rng.Intn(10)
-		cs := cands[:nc]
-		for i := range cs {
-			f := make([]float64, 18)
-			for k := range f {
-				f[k] = rng.NormFloat64()
-			}
-			cs[i] = f
+		x := NewMatrix(nc, 18)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
 		}
 		switch step % 3 {
 		case 0:
 			target := rng.Intn(nc)
-			lb := batched.Imitate(cs, target)
-			lr := reference.Imitate(cs, target)
+			lb := batched.ImitateBatch(x, target)
+			lr := reference.ImitateBatch(x, target)
 			if lb != lr {
 				t.Fatalf("step %d: imitation loss %v vs reference %v", step, lb, lr)
 			}
 		case 1:
-			ib, pb := batched.Choose(cs, true)
-			ir, pr := reference.Choose(cs, true)
+			ib, pb := batched.ChooseBatch(x, true)
+			ir, pr := reference.ChooseBatch(x, true)
 			if ib != ir {
 				t.Fatalf("step %d: batched chose %d, reference %d", step, ib, ir)
 			}
@@ -155,8 +150,8 @@ func TestPolicyBatchedMatchesReference(t *testing.T) {
 		case 2:
 			chosen := rng.Intn(nc)
 			reward := rng.Float64()
-			batched.Reinforce(cs, chosen, reward)
-			reference.Reinforce(cs, chosen, reward)
+			batched.ReinforceBatch(x, chosen, reward)
+			reference.ReinforceBatch(x, chosen, reward)
 			if batched.Baseline != reference.Baseline {
 				t.Fatalf("step %d: baseline %v vs %v", step, batched.Baseline, reference.Baseline)
 			}

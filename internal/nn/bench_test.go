@@ -12,10 +12,8 @@ func fillFeatures(dst []float64, decision, cand int) {
 
 // BenchmarkForwardBatch measures one round of candidate scoring at the
 // MLF-RL shape (16 candidates through an 18→32→16→1 net), staging
-// included. "reference" reproduces the historical per-decision path:
-// assemble a fresh [][]float64 of feature vectors, then run Forward per
-// candidate with per-layer activation allocations. "batched" is the new
-// path: fill the policy's staging matrix in place and run one fused
+// included. "reference" is the per-sample path: Forward per candidate
+// with per-layer activation allocations. "batched" runs one fused
 // zero-allocation batch. The ratio is the policy-scoring speedup.
 func BenchmarkForwardBatch(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
@@ -24,13 +22,11 @@ func BenchmarkForwardBatch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cands := make([][]float64, 16)
-			for c := range cands {
-				f := make([]float64, 18)
-				fillFeatures(f, i, c)
-				cands[c] = f
+			x := p.Candidates(16)
+			for c := 0; c < 16; c++ {
+				fillFeatures(x.Row(c), i, c)
 			}
-			p.Probs(cands)
+			p.ProbsBatch(x)
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
@@ -64,15 +60,14 @@ func BenchmarkImitationBatch(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		p := NewPolicy(18, []int{32, 16}, 3e-4, 1)
 		p.SetReference(true)
-		cands := make([][]float64, 16)
-		for c := range cands {
-			cands[c] = make([]float64, 18)
-			fillFeatures(cands[c], 0, c)
+		x := p.Candidates(16)
+		for c := 0; c < 16; c++ {
+			fillFeatures(x.Row(c), 0, c)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Imitate(cands, i%16)
+			p.ImitateBatch(x, i%16)
 		}
 	})
 	b.Run("batched", func(b *testing.B) {

@@ -213,14 +213,23 @@ func TestGradsScale(t *testing.T) {
 	}
 }
 
+// rowsMatrix builds a candidates×features matrix, one row per slice.
+func rowsMatrix(rows ...[]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestPolicyImitationLearnsPreference(t *testing.T) {
 	p := NewPolicy(3, []int{8}, 0.02, 9)
 	// Candidate with feature[0]=1 is always the right answer.
-	cands := [][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}
+	cands := rowsMatrix([]float64{0, 1, 0}, []float64{1, 0, 0}, []float64{0, 0, 1})
 	for i := 0; i < 300; i++ {
-		p.Imitate(cands, 1)
+		p.ImitateBatch(cands, 1)
 	}
-	idx, probs := p.Choose(cands, false)
+	idx, probs := p.ChooseBatch(cands, false)
 	if idx != 1 {
 		t.Fatalf("imitation failed: chose %d with %v", idx, probs)
 	}
@@ -231,17 +240,17 @@ func TestPolicyImitationLearnsPreference(t *testing.T) {
 
 func TestPolicyReinforceLearnsPreference(t *testing.T) {
 	p := NewPolicy(2, []int{8}, 0.05, 13)
-	cands := [][]float64{{1, 0}, {0, 1}}
+	cands := rowsMatrix([]float64{1, 0}, []float64{0, 1})
 	// Reward choosing candidate 0, punish candidate 1.
 	for i := 0; i < 400; i++ {
-		idx, _ := p.Choose(cands, true)
+		idx, _ := p.ChooseBatch(cands, true)
 		reward := 1.0
 		if idx == 1 {
 			reward = -1.0
 		}
-		p.Reinforce(cands, idx, reward)
+		p.ReinforceBatch(cands, idx, reward)
 	}
-	idx, probs := p.Choose(cands, false)
+	idx, probs := p.ChooseBatch(cands, false)
 	if idx != 0 || probs[0] < 0.8 {
 		t.Fatalf("REINFORCE failed: chose %d with %v", idx, probs)
 	}

@@ -71,25 +71,10 @@ func (p *Policy) Flip(prob float64) bool { return p.rng.Float64() < prob }
 // Candidates returns the policy's staging matrix reshaped to n rows of
 // feature-vector width, for the caller to fill one candidate per row.
 // The matrix is scratch owned by the policy, valid until the next
-// Candidates call; record-keeping callers must copy it (see Imitate and
-// Reinforce for the wrapped per-slice API).
+// Candidates call; record-keeping callers must copy it (Learner.Decide
+// does).
 func (p *Policy) Candidates(n int) *Matrix {
 	return p.ws.staging(n, p.Net.InputSize())
-}
-
-// pack copies a [][]float64 candidate list into the staging matrix.
-func (p *Policy) pack(candidates [][]float64) *Matrix {
-	x := p.Candidates(len(candidates))
-	for i, f := range candidates {
-		copy(x.Row(i), f)
-	}
-	return x
-}
-
-// Probs returns the softmax action distribution over candidates. The
-// returned slice is scratch, valid until the next scoring call.
-func (p *Policy) Probs(candidates [][]float64) []float64 {
-	return p.ProbsBatch(p.pack(candidates))
 }
 
 // ProbsBatch returns the softmax action distribution over the
@@ -112,14 +97,10 @@ func (p *Policy) probsRef(x *Matrix) []float64 {
 	return Softmax(logits)
 }
 
-// Choose picks a candidate: sampled from the distribution when explore
-// is true, greedy argmax otherwise. It returns the index and the
-// distribution it was drawn from (scratch, valid until the next call).
-func (p *Policy) Choose(candidates [][]float64, explore bool) (int, []float64) {
-	return p.ChooseBatch(p.pack(candidates), explore)
-}
-
-// ChooseBatch is Choose over a candidates×features matrix.
+// ChooseBatch picks one of the candidates in x: sampled from the
+// distribution when explore is true, greedy argmax otherwise. It returns
+// the index and the distribution it was drawn from (scratch, valid until
+// the next call).
 func (p *Policy) ChooseBatch(x *Matrix, explore bool) (int, []float64) {
 	probs := p.ProbsBatch(x)
 	if explore {
@@ -187,11 +168,6 @@ func (p *Policy) ImitateBatch(x *Matrix, target int) float64 {
 	return loss
 }
 
-// Imitate is ImitateBatch over a [][]float64 candidate list.
-func (p *Policy) Imitate(candidates [][]float64, target int) float64 {
-	return p.ImitateBatch(p.pack(candidates), target)
-}
-
 // AccumReinforce accumulates (without applying) one REINFORCE decision:
 // ascend reward·∇log π(chosen) over the candidates in x. The internal
 // baseline is subtracted and updated with the raw reward exactly as in
@@ -204,7 +180,7 @@ func (p *Policy) AccumReinforce(x *Matrix, chosen int, reward float64) bool {
 		p.baselineInit = true
 	}
 	advantage := reward - p.Baseline
-	p.Baseline = p.BaselineBeta*p.Baseline + (1-p.BaselineBeta)*reward
+	p.Baseline = float64(p.BaselineBeta*p.Baseline) + float64((1-p.BaselineBeta)*reward)
 	if advantage == 0 {
 		return false
 	}
@@ -229,11 +205,6 @@ func (p *Policy) ReinforceBatch(x *Matrix, chosen int, reward float64) {
 	if p.AccumReinforce(x, chosen, reward) {
 		p.Step()
 	}
-}
-
-// Reinforce is ReinforceBatch over a [][]float64 candidate list.
-func (p *Policy) Reinforce(candidates [][]float64, chosen int, reward float64) {
-	p.ReinforceBatch(p.pack(candidates), chosen, reward)
 }
 
 // applyLogitGradsRef is the per-sample reference update: backpropagate
@@ -269,7 +240,7 @@ func (p *Policy) reinforceRef(x *Matrix, chosen int, reward float64) {
 		p.baselineInit = true
 	}
 	advantage := reward - p.Baseline
-	p.Baseline = p.BaselineBeta*p.Baseline + (1-p.BaselineBeta)*reward
+	p.Baseline = float64(p.BaselineBeta*p.Baseline) + float64((1-p.BaselineBeta)*reward)
 	if advantage == 0 {
 		return
 	}

@@ -1,6 +1,11 @@
 package sched
 
-import "mlfs/internal/job"
+import (
+	"cmp"
+	"slices"
+
+	"mlfs/internal/job"
+)
 
 // ServerChooser picks a (server, device) for one task given the candidate
 // underloaded servers, or ok=false when no candidate can host it. It is
@@ -150,6 +155,28 @@ func LeastLoadedFit(ctx *Context, t *job.Task, candidates []int) (int, int, bool
 		return 0, 0, false
 	}
 	return best, ctx.Cluster.Server(best).LeastLoadedDevice().ID(), true
+}
+
+// FitShortlist writes into dst the candidates whose least-loaded device
+// can host t (FirstFit's check) and returns them. When more than max
+// fit, it keeps the max least overloaded, in order of overload degree,
+// ties by server index. The learned choosers score this shortlist. dst
+// is caller scratch; candidates is not modified.
+func FitShortlist(dst []int, ctx *Context, t *job.Task, candidates []int, max int) []int {
+	fit := dst[:0]
+	for _, si := range candidates {
+		dev := ctx.Cluster.Server(si).LeastLoadedDevice()
+		if ctx.Cluster.Fits(si, dev.ID(), t.Demand, t.GPUShare, ctx.HR) {
+			fit = append(fit, si)
+		}
+	}
+	if len(fit) <= max {
+		return fit
+	}
+	slices.SortFunc(fit, func(a, b int) int {
+		return cmp.Or(cmp.Compare(ctx.Cluster.Server(a).OverloadDegree(), ctx.Cluster.Server(b).OverloadDegree()), cmp.Compare(a, b))
+	})
+	return fit[:max]
 }
 
 // PendingJobs returns the jobs that have at least one queued task, in the

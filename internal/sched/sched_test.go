@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"mlfs/internal/cluster"
@@ -217,6 +218,39 @@ func TestLeastLoadedFit(t *testing.T) {
 	}
 	if s == 0 {
 		t.Fatal("LeastLoadedFit chose the most loaded server")
+	}
+}
+
+func TestFitShortlist(t *testing.T) {
+	var next job.TaskID
+	full, half, probe := testJob(t, 1, 2, &next), testJob(t, 2, 1, &next), testJob(t, 3, 1, &next)
+	ctx := newCtx(t, full, half, probe)
+	// Server 0 has no free GPU; server 2 is loaded but fits; 1 and 3 idle.
+	for i, task := range full.Tasks {
+		if err := ctx.Place(task, 0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ctx.Place(half.Tasks[0], 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	candidates := []int{0, 1, 2, 3}
+	var scratch []int
+	for _, tc := range []struct {
+		max  int
+		want []int
+	}{
+		{4, []int{1, 2, 3}}, // no more than max fit: candidate order
+		{2, []int{1, 3}},    // least overloaded, the tie by index
+		{1, []int{1}},
+	} {
+		scratch = FitShortlist(scratch, ctx, probe.Tasks[0], candidates, tc.max)
+		if !slices.Equal(scratch, tc.want) {
+			t.Errorf("max %d: shortlist %v, want %v", tc.max, scratch, tc.want)
+		}
+	}
+	if !slices.Equal(candidates, []int{0, 1, 2, 3}) {
+		t.Fatalf("candidates modified: %v", candidates)
 	}
 }
 

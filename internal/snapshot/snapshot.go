@@ -29,7 +29,7 @@ import (
 // FormatVersion is the snapshot payload format version. Bump it whenever
 // the byte layout changes — including any field added to or removed from
 // the codec of a snapshotted struct (the version guard enforces this).
-const FormatVersion = 8
+const FormatVersion = 9
 
 // ErrCorrupt marks snapshot bytes that cannot be decoded: bad magic,
 // checksum mismatch, truncation, or values that fail validation.
