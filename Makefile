@@ -53,8 +53,8 @@ resume:
 
 # Philly-scale smoke: the streaming sparse core end to end —
 # BenchmarkPhillyScale at its -short sizes ({200,400} jobs x 8 servers,
-# both full-rescan oracle checks per cell) under the race detector (the
-# real sweep is `make scalebench`).
+# the run and the backlogged round probe per cell) under the race
+# detector (the real sweep is `make scalebench`).
 scale:
 	$(GO) test -race -short -run '^$$' -bench BenchmarkPhillyScale -benchtime 1x .
 
@@ -98,8 +98,8 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkFig5_LargeScale -benchtime 1x .
 
 # Philly-scale sweep: per-decision cost, peak heap, round telemetry and
-# the two full-rescan oracle checks at {1k,10k,100k} jobs x {55,550}
-# servers (about 25 min) -> results/bench_scale.txt: a commit line, then
+# the backlogged round probe at {1k,10k,100k} jobs x {55,550} servers
+# (about 5 min) -> results/bench_scale.txt: a commit line, then
 # go test's output (goos/goarch/cpu lines, GOMAXPROCS as the name
 # suffix), diffable between runs with benchstat.
 scalebench:
@@ -110,11 +110,10 @@ scalebench:
 # CPU/heap pprof profiles of one BenchmarkPhillyScale cell (default:
 # mlf-h at 100k jobs / 550 servers, the largest cell; override with
 # PROFILE_JOBS / PROFILE_SERVERS / PROFILE_SCHED for a faster pass).
-# Reading the profiles is documented in EXPERIMENTS.md. Note the cell
-# runs the workload twice — incremental rounds plus the full-rescan
-# oracle twin — and both round probes, so the profile shows both sides
-# of the comparison. go test leaves its binary, mlfs.test, in the
-# repository root (git-ignored).
+# Reading the profiles is documented in EXPERIMENTS.md. The cell runs
+# the workload once and then the backlogged round probe, so the
+# profile shows the production round path only. go test leaves its
+# binary, mlfs.test, in the repository root (git-ignored).
 PROFILE_JOBS ?= 100000
 PROFILE_SERVERS ?= 550
 PROFILE_SCHED ?= mlf-h

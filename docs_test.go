@@ -303,15 +303,15 @@ func configFields(t *testing.T) map[string]map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fields["sim.Config"]["FullRescan"] || !fields["mlfs.Options"]["Trace"] || !fields["SchedulerOptions"]["RLBatch"] {
-		t.Fatalf("struct scan found %v, want at least sim.Config.FullRescan, mlfs.Options.Trace and SchedulerOptions.RLBatch", fields)
+	if !fields["sim.Config"]["StopAtTick"] || !fields["mlfs.Options"]["Trace"] || !fields["SchedulerOptions"]["RLBatch"] {
+		t.Fatalf("struct scan found %v, want at least sim.Config.StopAtTick, mlfs.Options.Trace and SchedulerOptions.RLBatch", fields)
 	}
 	return fields
 }
 
 // TestDocsNameDefinedFields: every Config.X, Options.X or
 // SchedulerOptions.X the documents show as code — qualified by a
-// package (`sim.Config.FullRescan`) or not (`Config.Source`) — must name
+// package (`sim.Config.StopAtTick`) or not (`Config.Source`) — must name
 // a field of such a struct in the module's non-test code, so deleting a
 // field cannot leave a setting behind that no longer exists.
 func TestDocsNameDefinedFields(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // baseline, and the simplest possible subject for resume bit-identity
 // testing.
 //
-// FIFO and SRTF opt into incremental rounds (sched.Incremental) with a
-// RoundSkipper: when the change journal is empty, the cluster epoch and
+// FIFO and SRTF consume the round change journal (sched.Incremental)
+// with a RoundSkipper: when the journal is empty, the cluster epoch and
 // HR are unchanged and the previous round provably did nothing, the
 // whole round is skipped as an O(1) no-op. Ordering never enters the
 // proof — a round that places nothing has no order-dependent side

@@ -81,7 +81,7 @@ func benchRelieve(b *testing.B, free float64) {
 	}
 	ctx := sched.NewContext(0, cl, jobs, nil, 0.9, 0.9)
 	m := NewMLFH()
-	prios := ComputePriorities(ctx, m.Params)
+	prios := m.Priorities(ctx)
 	restore := func() {
 		for _, h := range homes {
 			if p := cl.Lookup(h.t.ID.Ref()); p.Server != h.server || p.Device != h.device {

@@ -26,7 +26,7 @@ type prioSlot struct {
 	p, base        []float64 // blended outputs, rewritten every round
 }
 
-// PriorityEngine is the incremental backend for ComputePriorities: a
+// PriorityEngine computes each round's task priorities (Eqs. 2–6) from a
 // per-job cache of the raw Eq. 2–5 component vectors that skips the
 // per-job recursion (temporal priority, DAG accumulation, PS fixup) for
 // jobs proven *frozen* — jobs whose every priority term is provably
@@ -53,9 +53,10 @@ type prioSlot struct {
 // Everything downstream of the raw components (copy to base, DAG
 // recursion, PS fixup, Eq. 6 maxima + blend) is a pure function of
 // them, recomputed every round over flat arrays, so engine outputs are
-// bit-identical to ComputePriorities — the oracle the incremental
-// crosschecks compare against. Both paths share fillComponentPriorities
-// so they cannot drift.
+// bit-identical to a recomputation from scratch: the test reference in
+// priorityref_test.go, which shares fillComponentPriorities and
+// blendPriority, is checked against the engine after every journal
+// delivery (roundcache_test.go).
 //
 // The zero value is ready to use. Not safe for concurrent use; each
 // scheduler owns one engine.
@@ -85,9 +86,11 @@ func (e *PriorityEngine) Reset() {
 	}
 }
 
-// Compute is the engine-backed ComputePriorities: identical outputs,
-// O(dirty + unfrozen) per-job component work instead of O(jobs), and no
-// steady-state allocations (slot arrays are high-water reused).
+// Compute evaluates Eqs. 2–6 for every task of every live job at
+// ctx.Now: O(dirty + unfrozen) per-job component work instead of
+// O(jobs), and no steady-state allocations (slot arrays are high-water
+// reused). Every live job must hold a distinct SimSlot, as the
+// simulator's jobs do.
 func (e *PriorityEngine) Compute(ctx *sched.Context, params PriorityParams) *Priorities {
 	// Bitwise struct compare: any weight or ablation change must drop
 	// the whole cache.
@@ -177,8 +180,8 @@ func frozenPriority(ctx *sched.Context, j *job.Job, params PriorityParams) bool 
 }
 
 // slot resolves the live cache entry backing t's job, nil when the job
-// was never computed through this engine (the facade then reports 0,
-// matching the oracle's unknown-task behaviour).
+// was never computed through this engine (the facade then reports 0 for
+// an unknown task).
 func (e *PriorityEngine) slot(j *job.Job) *prioSlot {
 	if j.SimSlot < 0 || j.SimSlot >= len(e.slots) {
 		return nil

@@ -35,9 +35,7 @@ type MLFH struct {
 	// utilisation imbalance.
 	BWWeight float64
 
-	// eng backs priority computation on incremental rounds (lazily
-	// built; nil under the full-rescan oracle, which keeps exercising
-	// ComputePriorities directly).
+	// eng computes the round's priorities (lazily built).
 	eng *PriorityEngine //mlfs:derived rebuilt from scratch after restore
 
 	// Round scratch, reused so steady-state rounds allocate nothing.
@@ -135,14 +133,9 @@ func (m *MLFH) Dirty(jobs []*job.Job) {
 	}
 }
 
-// Priorities computes the round's task priorities (Eqs. 2–6). It picks
-// the backend: the slot-cached engine on incremental rounds, the oracle
-// otherwise. Both yield bit-identical values (crosschecked by the
-// incremental-vs-full-rescan suite).
+// Priorities computes the round's task priorities (Eqs. 2–6) through
+// the scheduler's slot-cached engine.
 func (m *MLFH) Priorities(ctx *sched.Context) *Priorities {
-	if !ctx.Incremental() {
-		return ComputePriorities(ctx, m.Params)
-	}
 	if m.eng == nil {
 		m.eng = &PriorityEngine{}
 	}
@@ -175,10 +168,11 @@ func (m *MLFH) PlaceQueue(ctx *sched.Context, prios *Priorities, choose sched.Se
 	ranked := m.scored[:0]
 	for _, j := range jobs {
 		m.taskBuf = ctx.QueuedTasksInto(j, m.taskBuf[:0])
-		// Pre-filter through the no-fit frontier: if any queued task of
-		// the job provably cannot be hosted, its gang placement must
-		// fail with zero side effects, so the job's ordering work is
-		// skipped outright (bit-identical — see Context.GangHopeless).
+		// Pre-filter through the no-fit frontier: if the job's first
+		// queued task provably cannot be hosted, its gang placement
+		// must fail, so its ordering work and its attempt are skipped
+		// (see Context.GangHopeless for how a skip can differ from an
+		// attempt in the last bit).
 		if len(m.taskBuf) == 0 || ctx.GangHopeless(m.taskBuf[0]) {
 			continue
 		}

@@ -205,7 +205,6 @@ func TestMLFHReliefRoundAllocs(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	ctx := sched.NewContext(0, cl, jobs, nil, 0.9, 0.9)
-	ctx.EnableIncremental()
 	m := NewMLFH()
 	round := func() {
 		m.Schedule(ctx)

@@ -697,7 +697,7 @@ func TestSelectMigrationTaskMatchesReference(t *testing.T) {
 	var picks int
 	for seed := int64(1); seed <= 150; seed++ {
 		ctx, _ := refScenario(t, seed)
-		prios := ComputePriorities(ctx, DefaultPriorityParams())
+		prios := (&PriorityEngine{}).Compute(ctx, DefaultPriorityParams())
 		for _, disableBW := range []bool{false, true} {
 			for _, ps := range []float64{0.1, 0.5, 1} {
 				m := NewMLFH()
@@ -738,8 +738,8 @@ func TestRelieveOverloadsMatchesReference(t *testing.T) {
 				m.MaxMigrationsPerServer, m.DisableBandwidth = maxMig, disableBW
 				ref := newRefMLFH(NewMLFH())
 				ref.MaxMigrationsPerServer, ref.DisableBandwidth = maxMig, disableBW
-				m.RelieveOverloads(ctx, ComputePriorities(ctx, m.Params), m.ChooseServer)
-				ref.relieveOverloads(refCtx, ComputePriorities(refCtx, ref.Params))
+				m.RelieveOverloads(ctx, m.Priorities(ctx), m.ChooseServer)
+				ref.relieveOverloads(refCtx, (&PriorityEngine{}).Compute(refCtx, ref.Params))
 				where := fmt.Sprintf("seed %d max %d bw-off=%v", seed, maxMig, disableBW)
 				requireSameCluster(t, where, ctx, refCtx, jobs, refJobs)
 				if ctx.Migrations != refCtx.Migrations || ctx.MigratedMB != refCtx.MigratedMB {

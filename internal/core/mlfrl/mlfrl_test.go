@@ -223,7 +223,7 @@ func TestFeatureVectorShape(t *testing.T) {
 	j := buildJob(t, 1, 2, &next)
 	ctx := sched.NewContext(0, testCluster(), []*job.Job{j},
 		append([]*job.Task(nil), j.Tasks...), 0.9, 0.9)
-	prios := core.ComputePriorities(ctx, core.DefaultPriorityParams())
+	prios := (&core.PriorityEngine{}).Compute(ctx, core.DefaultPriorityParams())
 	f := make([]float64, FeatureSize)
 	for i := range f {
 		f[i] = math.NaN()

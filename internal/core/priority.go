@@ -41,24 +41,15 @@ func DefaultPriorityParams() PriorityParams {
 }
 
 // Priorities holds one round's P_{k,J} values for every task of the
-// considered jobs, plus the base (pre-recursion) values used for
-// job-level queue ordering. It is a facade over one of two backends:
-// the map pair filled by ComputePriorities (the oracle), or a
-// PriorityEngine's slot-indexed arrays (the incremental path) — the two
-// produce bit-identical values (see the engine's freeze argument).
+// live jobs, plus the base (pre-recursion) values used for job-level
+// queue ordering. It is a view of the PriorityEngine that computed it,
+// valid until that engine's next Compute.
 type Priorities struct {
-	p    map[job.TaskID]float64
-	base map[job.TaskID]float64
-	eng  *PriorityEngine
+	eng *PriorityEngine
 }
 
 // Of returns P_{k,J} for task t (0 for unknown tasks).
-func (p *Priorities) Of(t *job.Task) float64 {
-	if p.eng != nil {
-		return p.eng.of(t)
-	}
-	return p.p[t.ID]
-}
+func (p *Priorities) Of(t *job.Task) float64 { return p.eng.of(t) }
 
 // BaseOf returns the blended priority of task t *before* the DAG
 // recursion of Eqs. 3/5. The recursion exists to order tasks within a
@@ -66,12 +57,7 @@ func (p *Priorities) Of(t *job.Task) float64 {
 // systematically favour deeper DAGs, so job-level queue ordering uses
 // the base values. In the paper tasks queue individually, making this
 // distinction moot; under gang scheduling it matters.
-func (p *Priorities) BaseOf(t *job.Task) float64 {
-	if p.eng != nil {
-		return p.eng.baseOf(t)
-	}
-	return p.base[t.ID]
-}
+func (p *Priorities) BaseOf(t *job.Task) float64 { return p.eng.baseOf(t) }
 
 // JobOrder returns the job-level queue score: the maximum base priority
 // among the given tasks.
@@ -85,56 +71,9 @@ func (p *Priorities) JobOrder(tasks []*job.Task) float64 {
 	return best
 }
 
-// ComputePriorities evaluates Eqs. 2–6 for every task of every job at
-// time now. Queued tasks use their queue waiting time for w_{k,J}; placed
-// tasks use 0. The ML and computation components are each normalised by
-// their maximum across all tasks before blending, so Alpha weighs
-// comparable quantities.
-func ComputePriorities(ctx *sched.Context, params PriorityParams) *Priorities {
-	mls := make(map[job.TaskID]float64)
-	cs := make(map[job.TaskID]float64)
-	baseMLs := make(map[job.TaskID]float64)
-	baseCs := make(map[job.TaskID]float64)
-	var maxML, maxC, maxBaseML, maxBaseC float64
-
-	for _, j := range ctx.Jobs() {
-		if j.Done() {
-			continue
-		}
-		ml, c, bml, bc := jobComponentPriorities(ctx, j, params)
-		for i, t := range j.Tasks {
-			mls[t.ID] = ml[i]
-			cs[t.ID] = c[i]
-			baseMLs[t.ID] = bml[i]
-			baseCs[t.ID] = bc[i]
-			if ml[i] > maxML {
-				maxML = ml[i]
-			}
-			if c[i] > maxC {
-				maxC = c[i]
-			}
-			if bml[i] > maxBaseML {
-				maxBaseML = bml[i]
-			}
-			if bc[i] > maxBaseC {
-				maxBaseC = bc[i]
-			}
-		}
-	}
-	out := &Priorities{
-		p:    make(map[job.TaskID]float64, len(mls)),
-		base: make(map[job.TaskID]float64, len(mls)),
-	}
-	for id := range mls {
-		out.p[id] = blendPriority(mls[id], cs[id], maxML, maxC, params)
-		out.base[id] = blendPriority(baseMLs[id], baseCs[id], maxBaseML, maxBaseC, params)
-	}
-	return out
-}
-
 // blendPriority is Eq. 6: normalise each component by its cross-job
-// maximum and mix with Alpha. Shared by the oracle and the engine so
-// the final arithmetic cannot drift between them.
+// maximum and mix with Alpha. Shared by the engine and its test
+// reference so the final arithmetic cannot drift between them.
 func blendPriority(ml, c, mMax, cMax float64, params PriorityParams) float64 {
 	nml, nc := 0.0, 0.0
 	if mMax > 0 {
@@ -146,25 +85,11 @@ func blendPriority(ml, c, mMax, cMax float64, params PriorityParams) float64 {
 	return params.Alpha*nml + (1-params.Alpha)*nc
 }
 
-// jobComponentPriorities returns the recursed P^{ML} and P^{C} per task
-// index for one job (Eqs. 3/5), plus the base values of Eqs. 2/4 before
-// the dependent-task accumulation.
-func jobComponentPriorities(ctx *sched.Context, j *job.Job, params PriorityParams) (ml, c, baseML, baseC []float64) {
-	n := len(j.Tasks)
-	ml = make([]float64, n)
-	c = make([]float64, n)
-	baseML = make([]float64, n)
-	baseC = make([]float64, n)
-	fillComponentPriorities(ctx, j, params, ml, c, baseML, baseC)
-	return ml, c, baseML, baseC
-}
-
-// fillComponentPriorities computes the Eq. 2–5 components into
-// caller-provided slices of length len(j.Tasks), overwriting every
-// element. It is the single implementation behind both the
-// allocate-per-round oracle (jobComponentPriorities) and the
-// PriorityEngine's cached slots, so the two stay bit-identical by
-// construction.
+// fillComponentPriorities computes the Eq. 2–5 components of one job's
+// tasks (queued tasks use their queue waiting time for w_{k,J}, placed
+// tasks 0) into caller-provided slices of length len(j.Tasks),
+// overwriting every element. The PriorityEngine fills its cached slots
+// with it, and so does its test reference (priorityref_test.go).
 func fillComponentPriorities(ctx *sched.Context, j *job.Job, params PriorityParams, ml, c, baseML, baseC []float64) {
 	// --- Base ML priority, Eq. 2: L_J · (1/I) · δl_{I−1}/Σδl · S_k ---
 	urgency := float64(j.Urgency)

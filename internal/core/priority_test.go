@@ -35,6 +35,9 @@ func buildJob(t *testing.T, spec job.Spec, next *job.TaskID) *job.Job {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The PriorityEngine caches by simulator slot; job ids are unique
+	// within a test, so they serve as distinct slots.
+	j.SimSlot = int(spec.ID)
 	return j
 }
 

@@ -266,13 +266,12 @@ type Job struct {
 	// tasks stay parked (exponential backoff between restarts).
 	NextRetryAt float64
 
-	// --- Incremental-round bookkeeping (owned by sched.Context; see
-	// internal/sched/incremental.go; zero unless the run uses the
-	// incremental round path) ---
+	// --- Round bookkeeping (owned by sched.Context; see
+	// internal/sched/incremental.go) ---
 
-	// InPendingList marks the job as a live entry of the incremental
-	// context's sorted pending-jobs list (≥1 queued task).
-	InPendingList bool //mlfs:derived rebuilt by ResetIncremental from the restored queue
+	// InPendingList marks the job as a live entry of the context's
+	// sorted pending-jobs list (≥1 queued task).
+	InPendingList bool //mlfs:derived rebuilt by RebuildRoundState from the restored queue
 	// DirtyMark dedups the context's change journal: set while the job
 	// sits in the accumulating buffer, cleared when the buffer is
 	// delivered to the scheduler.

@@ -32,10 +32,10 @@ type Counters struct {
 	Truncated           int // jobs cut off by the simulation horizon
 	Rejected            int // jobs larger than the whole cluster
 
-	// Incremental-round telemetry (zero under the full-rescan oracle).
-	// Like SchedSeconds these depend on the execution mode — and
-	// SkippedRounds on warm skipper state a restore legitimately drops —
-	// so cross-mode and crash-replay comparisons zero them.
+	// Round telemetry. Like SchedSeconds these depend on warm state a
+	// restore rebuilds conservatively — the journal re-marks every
+	// pending job, skip proofs are dropped — so crash-replay comparisons
+	// zero them.
 	DirtyJobs     int // jobs delivered through the round change journal
 	SkippedRounds int // rounds proven no-ops and skipped (sched.RoundSkipper)
 
@@ -169,13 +169,12 @@ func ComputeFromTallies(scheduler string, tallies []Tally, c Counters) *Result {
 }
 
 // ZeroVolatile clears the counters that legitimately differ between a
-// crash-resumed (or mode-switched) run and its uninterrupted golden:
-// SchedSeconds is wall clock, and the incremental-round telemetry
-// depends on warm journal/skipper state a restore rebuilds
-// conservatively (every pending job is re-journalled, skip proofs are
-// discarded). Comparison tests call it on both sides before DeepEqual;
-// same-mode comparisons (insertion orders) deliberately do not, so
-// journal determinism stays asserted.
+// crash-resumed run and its uninterrupted golden: SchedSeconds is wall
+// clock, and the round telemetry depends on warm journal/skipper state
+// a restore rebuilds conservatively (every pending job is re-journalled,
+// skip proofs are discarded). Comparison tests call it on both sides
+// before DeepEqual; other comparisons (insertion orders) deliberately do
+// not, so journal determinism stays asserted.
 func (c *Counters) ZeroVolatile() {
 	c.SchedSeconds = 0
 	c.DirtyJobs = 0

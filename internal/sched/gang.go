@@ -14,9 +14,9 @@ import (
 //
 // Contract: a chooser must return ok=false exactly when no candidate's
 // least-loaded device passes Cluster.Fits for the task — a test that is
-// monotone in (demand, GPU share). The incremental no-fit frontier
-// relies on this to skip gangs whose first task dominates a recorded
-// failure (see incremental.go); every chooser in the repo satisfies it.
+// monotone in (demand, GPU share). The no-fit frontier relies on this
+// to skip gangs whose first task dominates a recorded failure (see
+// incremental.go); every chooser in the repo satisfies it.
 type ServerChooser func(ctx *Context, t *job.Task, candidates []int) (server, device int, ok bool)
 
 // underloadedCandidates returns the underloaded-server set for the
@@ -37,9 +37,13 @@ func (c *Context) underloadedCandidates() []int {
 	return c.candScratch
 }
 
-// PlaceGang atomically places all given queued tasks using choose,
-// rolling everything back if any task cannot be hosted. It returns true
-// when the whole gang was placed.
+// PlaceGang places all given queued tasks using choose, or none: if any
+// task cannot be hosted, every placement already made for the gang is
+// removed again. It returns true when the whole gang was placed. The
+// removal restores the queue and the placement index exactly, but the
+// servers' load sums only up to last-bit residue: Remove subtracts what
+// Place added, and (x+d)−d need not equal x. The attempt log detects
+// that case (see cluster.AttemptLog) and keeps the epochs bumped.
 //
 // Jobs train synchronously (see DESIGN.md): an iteration needs every task
 // of the job, so placing a strict subset wastes GPUs without progress.
@@ -49,23 +53,15 @@ func (c *Context) underloadedCandidates() []int {
 func (c *Context) PlaceGang(tasks []*job.Task, choose ServerChooser) bool {
 	if len(tasks) > 0 && c.nofitSkip(tasks[0]) {
 		// The frontier proves the first task cannot be hosted against
-		// the current cluster; the oracle attempt would fail with zero
-		// side effects, so skipping it is bit-identical.
-		return false
-	}
-	if c.gangFailSkip(tasks) {
-		// The memo proves this exact attempt already failed against a
-		// bit-identical cluster at the same threshold; re-running it
-		// would fail identically with zero side effects.
+		// the current cluster; the attempt would fail before placing
+		// anything.
 		return false
 	}
 	// The partial-gang list lives in a context scratch buffer: a backlog
 	// scan calls PlaceGang once per pending job, and the failure path
 	// must not allocate.
 	placed := c.gangScratch[:0]
-	if c.incremental {
-		c.Cluster.BeginAttempt(&c.attempt)
-	}
+	c.Cluster.BeginAttempt(&c.attempt)
 	rollback := func() bool {
 		for _, t := range placed {
 			c.Cluster.Remove(t.ID.Ref())
@@ -73,24 +69,17 @@ func (c *Context) PlaceGang(tasks []*job.Task, choose ServerChooser) bool {
 			t.Job.PlacedTasks--
 			c.Placements--
 		}
-		if c.incremental {
-			if len(placed) == 0 {
-				// Nothing was placed: the cluster was never touched, so
-				// the failure keys the current epoch directly.
-				c.noteGangFail(tasks)
-			} else if c.Cluster.AbortAttempt(&c.attempt) {
-				// Bit-exact restoration verified and epochs rewound: the
-				// failed attempt is a true no-op, so the pre-attempt
-				// memos (candidates, no-fit frontier) stay valid and the
-				// failure is recordable against the rewound epoch. A memo
-				// the attempt itself wrote at a transient epoch must not
-				// survive the rewind — AbortAttempt invalidates the
-				// cluster-side caches, the candidates memo is ours.
-				if c.candValid && c.candEpoch != c.Cluster.Epoch() {
-					c.candValid = false
-				}
-				c.noteGangFail(tasks)
-			}
+		// When the rollback restored every touched load bit, the failed
+		// attempt is a true no-op and the epochs it bumped are rewound,
+		// so the pre-attempt memos (candidates, no-fit frontier) stay
+		// valid. A memo the attempt itself wrote at a transient epoch
+		// must not survive the rewind — AbortAttempt invalidates the
+		// cluster-side caches, the candidates memo is ours. When a bit
+		// differs (last-bit residue of (x+d)−d), the epochs stay bumped
+		// and every memo misses.
+		if len(placed) > 0 && c.Cluster.AbortAttempt(&c.attempt) &&
+			c.candValid && c.candEpoch != c.Cluster.Epoch() {
+			c.candValid = false
 		}
 		c.gangScratch = placed[:0]
 		return false
@@ -110,9 +99,7 @@ func (c *Context) PlaceGang(tasks []*job.Task, choose ServerChooser) bool {
 			}
 			return rollback()
 		}
-		if c.incremental {
-			c.Cluster.NoteAttemptTarget(&c.attempt, server, device)
-		}
+		c.Cluster.NoteAttemptTarget(&c.attempt, server, device)
 		if err := c.Place(t, server, device); err != nil {
 			return rollback()
 		}
@@ -181,42 +168,17 @@ func FitShortlist(dst []int, ctx *Context, t *job.Task, candidates []int, max in
 
 // PendingJobs returns the jobs that have at least one queued task, in the
 // deterministic order of their lowest queued task id (≈ submission order
-// for fresh jobs). In incremental mode the list is served from the
-// maintained sorted pending list — O(pending), zero-alloc in steady
-// state, valid until the next call — instead of rescanning the backlog;
-// the two orders coincide because a job's task ids are contiguous, so
-// sorting by lowest queued id equals sorting by Tasks[0].ID.
+// for fresh jobs). It is served from the maintained sorted pending list —
+// O(pending), zero-alloc in steady state, valid until the next call; the
+// list is sorted by Tasks[0].ID, the same order because a job's task ids
+// are contiguous.
 func (c *Context) PendingJobs() []*job.Job {
-	if c.incremental {
-		out := c.pendScratch[:0]
-		for _, j := range c.pendingList {
-			if j.InPendingList {
-				out = append(out, j)
-			}
-		}
-		c.pendScratch = out
-		return out
-	}
-	type entry struct {
-		j   *job.Job
-		min job.TaskID
-	}
-	var entries []entry
-	for _, j := range c.jobs {
-		q := c.QueuedTasksOf(j)
-		if len(q) == 0 {
-			continue
-		}
-		entries = append(entries, entry{j, q[0].ID})
-	}
-	for i := 1; i < len(entries); i++ {
-		for k := i; k > 0 && entries[k].min < entries[k-1].min; k-- {
-			entries[k], entries[k-1] = entries[k-1], entries[k]
+	out := c.pendScratch[:0]
+	for _, j := range c.pendingList {
+		if j.InPendingList {
+			out = append(out, j)
 		}
 	}
-	out := make([]*job.Job, len(entries))
-	for i, e := range entries {
-		out[i] = e.j
-	}
+	c.pendScratch = out
 	return out
 }

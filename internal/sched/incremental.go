@@ -7,45 +7,46 @@ import (
 	"mlfs/internal/job"
 )
 
-// This file is the incremental-round machinery: a change journal keyed
-// by per-job dedup marks, a sorted pending-jobs list with lazy deletion,
-// and a no-fit dominance frontier generalising the underloaded-candidate
-// memo to per-shape feasibility. All of it is derived state — every
-// structure is an exact recomputation of what a full rescan would
-// observe, so nothing here is serialized; snapshot restore calls
-// ResetIncremental and rebuilds bit-identically.
+// This file is the round machinery: a change journal keyed by per-job
+// dedup marks, a sorted pending-jobs list with lazy deletion, and a
+// no-fit dominance frontier generalising the underloaded-candidate memo
+// to per-shape feasibility. All of it is derived state, so nothing here
+// is serialized; snapshot restore calls RebuildRoundState and rebuilds it
+// from the restored queue.
 //
-// The bit-identity argument, piece by piece:
+// What each structure owes, piece by piece:
 //
 //   - Pending list: a job's task ids form one contiguous block, so
 //     ordering jobs by Tasks[0].ID is the same order as by lowest queued
-//     task id (the full-scan PendingJobs order). Membership transitions
-//     are hooked at every queue mutation (Place, Evict, admission,
-//     finish, fault park, fault release), so the flag view equals the
-//     scan view at every round boundary.
+//     task id. Membership transitions are hooked at every queue mutation
+//     (Place, Evict, admission, finish, fault park, fault release), so
+//     PendingJobs equals a scan of the jobs with a queued task at every
+//     round boundary.
 //   - Journal: over-delivering dirty jobs is harmless (consumers
 //     recompute and land on the same bits); the hooks only need to
 //     cover every event that could change what a consumer cached.
 //   - No-fit frontier: Cluster.Fits is monotone in (demand, gpuShare) —
 //     a task demanding componentwise at least as much as a shape that
 //     just failed placement must fail too, as long as the cluster is
-//     bit-identical (epoch key) and the threshold unchanged (HR key).
-//     Only first-task failures are recorded: they leave zero side
-//     effects (no partial placements, no rollback, no epoch bump), so
-//     the skipped attempt is exactly the attempt the oracle would make
-//     and lose.
+//     unchanged (epoch key) and the threshold too (HR key). Only
+//     first-task failures are recorded: nothing was placed for them, so
+//     the entry describes the cluster as it stands.
 //   - Attempt rewind: a partial-gang failure rolls every placement back,
 //     and cluster.AbortAttempt verifies the touched servers' load bits
 //     returned exactly before rewinding the epochs the attempt bumped.
-//     With the rewind, epoch equality keeps witnessing bit-identical
-//     cluster state across failed attempts — without it, one saturated
-//     backlog round would invalidate every epoch-keyed memo tens of
-//     thousands of times despite changing nothing.
-//   - Failed-gang memo: a failed attempt is all-or-nothing with zero
-//     observable side effects and is a deterministic function of
-//     (cluster bits, HR, ordered task list, chooser); when the epoch, HR
-//     and exact task order recur for a job, re-attempting must fail
-//     identically, so PlaceGang skips it (see gangFailSlot).
+//     With the rewind, epoch equality keeps witnessing unchanged cluster
+//     state across failed attempts — without it, one saturated backlog
+//     round would invalidate every epoch-keyed memo tens of thousands of
+//     times despite changing nothing.
+//
+// The frontier is sound (every gang it skips would fail) but a skip is
+// not always the same as an attempt. Rolling back a partial placement
+// subtracts what Place added, and (x+d)−d need not equal x in floating
+// point: the attempt can leave last-bit residue in the load sums, and
+// AbortAttempt then refuses the rewind. A skipped gang leaves none, so
+// the skips are part of what defines a run's results (DESIGN.md §13
+// measures the difference). TestRoundCachesEveryRound (internal/core)
+// holds each structure to its obligation on every round.
 
 // Incremental is the opt-in interface for schedulers that consume the
 // round change journal. The simulator delivers Dirty(jobs) immediately
@@ -88,26 +89,13 @@ func shapeDominates(big, small nofitShape) bool {
 	return true
 }
 
-// EnableIncremental switches the context to incremental rounds: the
-// pending-jobs list, change journal and no-fit frontier become live, and
-// PendingJobs serves from the maintained list instead of rescanning the
-// backlog. The simulator enables it unless the full-rescan oracle is
-// requested.
-func (c *Context) EnableIncremental() {
-	c.incremental = true
-	c.ResetIncremental()
-}
-
-// Incremental reports whether the context runs incremental rounds.
-func (c *Context) Incremental() bool { return c.incremental }
-
-// ResetIncremental rebuilds all incremental state from the context's
+// RebuildRoundState rebuilds all round state from the context's
 // authoritative views (jobs + waiting queue): every job with a queued
 // task re-enters the pending list and the journal, the frontier clears.
-// Snapshot restore calls this after the queue is rebuilt; the result is
-// bit-identical to the state an uninterrupted run would carry, because
-// every structure is a pure function of (jobs, waiting, nothing-cached).
-func (c *Context) ResetIncremental() {
+// NewContext calls it, and snapshot restore calls it after the queue is
+// rebuilt; the pending list it builds is the one an uninterrupted run
+// carries, and the journal over-delivers, which is harmless.
+func (c *Context) RebuildRoundState() {
 	for _, j := range c.pendingList {
 		j.InPendingList = false
 	}
@@ -120,12 +108,6 @@ func (c *Context) ResetIncremental() {
 	c.dirtyRound = c.dirtyRound[:0]
 	c.nofit = c.nofit[:0]
 	c.nofitValid = false
-	for i := range c.gangFail {
-		c.gangFail[i].valid = false
-	}
-	if !c.incremental {
-		return
-	}
 	for _, j := range c.jobs {
 		if j.Done() || !c.hasQueuedTask(j) {
 			continue
@@ -146,11 +128,11 @@ func (c *Context) hasQueuedTask(j *job.Job) bool {
 	return false
 }
 
-// Advance re-primes the reused context for a new round — the incremental
-// counterpart of Reset — and swaps the change journal's double buffer:
-// everything journalled since the previous Advance becomes RoundDirty(),
-// and the dedup marks are cleared so in-round events re-journal the same
-// jobs for the next round.
+// Advance re-primes the reused context for a new round (Reset) and
+// swaps the change journal's double buffer: everything journalled since
+// the previous Advance becomes RoundDirty(), and the dedup marks are
+// cleared so in-round events re-journal the same jobs for the next
+// round.
 func (c *Context) Advance(now float64, jobs []*job.Job, waiting map[job.TaskID]*job.Task) {
 	c.Reset(now, jobs, waiting)
 	c.dirtyAccum, c.dirtyRound = c.dirtyRound[:0], c.dirtyAccum
@@ -165,9 +147,9 @@ func (c *Context) Advance(now float64, jobs []*job.Job, waiting map[job.TaskID]*
 func (c *Context) RoundDirty() []*job.Job { return c.dirtyRound }
 
 // MarkDirty journals j as changed for the next round's delivery.
-// Idempotent per round; a no-op outside incremental mode.
+// Idempotent per round.
 func (c *Context) MarkDirty(j *job.Job) {
-	if !c.incremental || j.DirtyMark {
+	if j.DirtyMark {
 		return
 	}
 	j.DirtyMark = true
@@ -181,7 +163,7 @@ func (c *Context) MarkDirty(j *job.Job) {
 // (a dropped entry stays until compaction and is revived in place if
 // the job re-queues).
 func (c *Context) NotePending(j *job.Job) {
-	if !c.incremental || j.InPendingList {
+	if j.InPendingList {
 		return
 	}
 	key := j.Tasks[0].ID
@@ -205,7 +187,7 @@ func (c *Context) NotePending(j *job.Job) {
 // lazy: the entry is compacted away once stale entries outnumber live
 // ones, keeping the amortised cost O(1).
 func (c *Context) DropPending(j *job.Job) {
-	if !c.incremental || !j.InPendingList {
+	if !j.InPendingList {
 		return
 	}
 	j.InPendingList = false
@@ -232,9 +214,6 @@ func (c *Context) compactPending() {
 // cannot be placed against the current cluster: its shape dominates a
 // shape that already failed at the same (epoch, HR).
 func (c *Context) nofitSkip(t *job.Task) bool {
-	if !c.incremental {
-		return false
-	}
 	if ep := c.Cluster.Epoch(); !c.nofitValid || c.nofitEpoch != ep || c.nofitHR != c.HR { //mlfs:allow floatcmp frontier key: any HR change, bitwise, must invalidate
 		c.nofit = c.nofit[:0]
 		c.nofitEpoch, c.nofitHR = ep, c.HR
@@ -253,23 +232,23 @@ func (c *Context) nofitSkip(t *job.Task) bool {
 // GangHopeless reports whether the no-fit frontier proves task t cannot
 // be hosted anywhere under the current (epoch, HR), so any gang
 // containing t must fail. Schedulers may consult it with any queued task
-// of a job before paying that job's per-gang ordering work: a failed
-// PlaceGang is all-or-nothing with zero observable side effects, so
-// skipping a provably doomed gang is bit-identical to attempting it.
-// The proof also survives the round it was recorded in — placements
-// only shrink free capacity and Fits is monotone in load — so a check
-// made while scoring the backlog stays sound when the job's turn comes.
-// Always false outside incremental rounds (the full-rescan oracle
-// attempts every gang).
+// of a job before paying that job's per-gang ordering work. Skipping
+// such a gang places nothing, as the attempt would; but an attempt that
+// places other tasks of the gang before reaching t rolls them back and
+// can leave last-bit residue in the load sums (see the file comment),
+// so a skip is not always bit-identical to an attempt. The proof also
+// survives the round it was recorded in — placements only shrink free
+// capacity and Fits is monotone in load — so a check made while scoring
+// the backlog stays sound when the job's turn comes.
 func (c *Context) GangHopeless(t *job.Task) bool { return c.nofitSkip(t) }
 
 // noteNofit records a first-task placement failure. Only called when
-// nothing was placed for the gang, so the cluster is bit-identical to
-// the pre-attempt state and the entry is exact. Entries implied by an
+// nothing was placed for the gang, so the cluster is the pre-attempt
+// cluster and the entry is exact. Entries implied by an
 // existing one are not added; entries the new one implies are removed
 // (Pareto frontier of minimal failures).
 func (c *Context) noteNofit(t *job.Task) {
-	if !c.incremental || !c.nofitValid {
+	if !c.nofitValid {
 		return
 	}
 	if c.nofitEpoch != c.Cluster.Epoch() || c.nofitHR != c.HR { //mlfs:allow floatcmp frontier key: any HR change, bitwise, must invalidate
@@ -291,77 +270,6 @@ func (c *Context) noteNofit(t *job.Task) {
 	if len(c.nofit) < maxNofitShapes {
 		c.nofit = append(c.nofit, probe)
 	}
-}
-
-// gangFailSlot caches one job's most recent failed gang attempt, indexed
-// by the simulator's recycled job slot (job.SimSlot, with the jobID guard
-// detecting recycling — the PriorityEngine pattern). A failed attempt is
-// all-or-nothing with zero observable side effects and is a deterministic
-// function of (cluster bits, HR, the ordered task list with its immutable
-// demands, the chooser); when all of those provably recur, re-attempting
-// must fail identically, so the attempt is skipped. Cluster bits are
-// witnessed by epoch equality — valid because epochs are rewound only
-// after AbortAttempt verifies bit-exact restoration, so equal epochs
-// still bracket bit-identical states. The key is complete: anything that
-// could change the attempt's outcome either moves the cluster epoch
-// (placements, migrations, evictions, demand wobble, faults), changes HR,
-// or changes the gang itself — the task list and its order are compared
-// element by element, and task demands are immutable after job build.
-type gangFailSlot struct {
-	jobID     job.ID
-	valid     bool
-	seenEpoch uint64
-	hr        float64
-	order     []job.TaskID // exact task order of the failed attempt
-}
-
-// gangFailSkip reports whether tasks provably repeats a recorded failed
-// attempt under an unchanged cluster and threshold.
-func (c *Context) gangFailSkip(tasks []*job.Task) bool {
-	if !c.incremental || len(tasks) == 0 {
-		return false
-	}
-	j := tasks[0].Job
-	if j.SimSlot < 0 || j.SimSlot >= len(c.gangFail) {
-		return false
-	}
-	s := &c.gangFail[j.SimSlot]
-	if !s.valid || s.jobID != j.ID || s.seenEpoch != c.Cluster.Epoch() ||
-		s.hr != c.HR || len(s.order) != len(tasks) { //mlfs:allow floatcmp memo key: any HR change, bitwise, must invalidate
-		return false
-	}
-	for i, t := range tasks {
-		if s.order[i] != t.ID {
-			return false
-		}
-	}
-	return true
-}
-
-// noteGangFail records a failed attempt for tasks' job. Only called when
-// the attempt provably left the cluster bit-identical (nothing was
-// placed, or AbortAttempt verified and rewound), so the recorded epoch
-// keys the exact state the failure was computed against.
-func (c *Context) noteGangFail(tasks []*job.Task) {
-	if !c.incremental {
-		return
-	}
-	j := tasks[0].Job
-	if j.SimSlot < 0 {
-		return
-	}
-	for len(c.gangFail) <= j.SimSlot {
-		c.gangFail = append(c.gangFail, gangFailSlot{jobID: -1})
-	}
-	s := &c.gangFail[j.SimSlot]
-	s.jobID = j.ID
-	s.seenEpoch = c.Cluster.Epoch()
-	s.hr = c.HR
-	s.order = s.order[:0]
-	for _, t := range tasks {
-		s.order = append(s.order, t.ID)
-	}
-	s.valid = true
 }
 
 // NoteSkippedRound lets a scheduler report that it proved the round a
@@ -397,7 +305,7 @@ func (s *RoundSkipper) NoteDirty(jobs []*job.Job) {
 // CanSkip reports whether this round is provably identical to the
 // recorded no-op round.
 func (s *RoundSkipper) CanSkip(ctx *Context) bool {
-	return ctx.Incremental() && s.valid && !s.sawDirty && !s.acted &&
+	return s.valid && !s.sawDirty && !s.acted &&
 		s.seenEpoch == ctx.Cluster.Epoch() &&
 		s.hr == ctx.HR //mlfs:allow floatcmp skip key: any HR change, bitwise, must invalidate
 }

@@ -79,11 +79,9 @@ type Context struct {
 	gangScratch []*job.Task
 	attempt     cluster.AttemptLog
 
-	// Incremental-round state (see incremental.go): the sorted pending
-	// list, the double-buffered change journal and the no-fit dominance
-	// frontier. All derived, rebuilt by ResetIncremental on restore;
-	// inert until EnableIncremental.
-	incremental bool
+	// Round state (see incremental.go): the sorted pending list, the
+	// double-buffered change journal and the no-fit dominance frontier.
+	// All derived, rebuilt by RebuildRoundState on restore.
 	pendingList []*job.Job
 	pendingLive int
 	pendScratch []*job.Job
@@ -93,7 +91,6 @@ type Context struct {
 	nofitEpoch  uint64
 	nofitHR     float64
 	nofitValid  bool
-	gangFail    []gangFailSlot
 
 	// Round feedback, filled by the simulator for reward-driven policies
 	// (MLF-RL, §3.4): jobs completed since the previous round and the
@@ -133,6 +130,7 @@ func NewContext(now float64, cl *cluster.Cluster, jobs []*job.Job, waiting []*jo
 			ctx.byRef[t.ID.Ref()] = t
 		}
 	}
+	ctx.RebuildRoundState()
 	return ctx
 }
 

@@ -102,16 +102,14 @@ func BenchmarkWobbleDemands(b *testing.B) {
 // benchBacklogSim builds a simulator whose entire trace has been admitted at
 // once onto a small cluster, so all but a handful of jobs sit in the
 // scheduling backlog. Two warm rounds fill the cluster and every
-// incremental cache (pending list, no-fit frontier, priority
-// components) so the benchmark loop measures the steady round, not cold
-// construction.
-func benchBacklogSim(tb testing.TB, jobs int, fullRescan bool) *Simulator {
+// round cache (pending list, no-fit frontier, priority components) so
+// the benchmark loop measures the steady round, not cold construction.
+func benchBacklogSim(tb testing.TB, jobs int) *Simulator {
 	tb.Helper()
 	s, err := New(Config{
-		Cluster:    testClusterCfg(),
-		Source:     smallSource(jobs, 99),
-		Scheduler:  core.NewMLFH(),
-		FullRescan: fullRescan,
+		Cluster:   testClusterCfg(),
+		Source:    smallSource(jobs, 99),
+		Scheduler: core.NewMLFH(),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -133,23 +131,19 @@ func benchBacklogSim(tb testing.TB, jobs int, fullRescan bool) *Simulator {
 // large backlog, swept over the dirty-set size: dirty=0% is the
 // journal-empty round (cached priorities, maintained pending list,
 // no-fit frontier all hot), dirty=1% is the typical online round, and
-// dirty=100% invalidates every job — the incremental worst case. The
-// fullrescan cells run the same round with the incremental structure
-// disabled, the oracle the dirty rounds are measured against.
+// dirty=100% invalidates every job — the worst case for the caches.
 func BenchmarkScheduleRound(b *testing.B) {
 	for _, jobs := range []int{1_000, 10_000, 100_000} {
 		for _, mode := range []struct {
-			name       string
-			dirtyFrac  float64
-			fullRescan bool
+			name      string
+			dirtyFrac float64
 		}{
-			{"dirty=0%", 0, false},
-			{"dirty=1%", 0.01, false},
-			{"dirty=100%", 1, false},
-			{"fullrescan", 0, true},
+			{"dirty=0%", 0},
+			{"dirty=1%", 0.01},
+			{"dirty=100%", 1},
 		} {
 			b.Run(fmt.Sprintf("backlog=%d/%s", jobs, mode.name), func(b *testing.B) {
-				s := benchBacklogSim(b, jobs, mode.fullRescan)
+				s := benchBacklogSim(b, jobs)
 				nDirty := int(mode.dirtyFrac * float64(len(s.active)))
 				b.ReportAllocs()
 				b.ResetTimer()

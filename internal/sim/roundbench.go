@@ -10,11 +10,11 @@ import (
 // backlog-round-µs metrics of the root package's BenchmarkPhillyScale.
 // The normal scale cells run at the Philly trace's submission density,
 // where the cluster keeps up and rounds are dominated by placement and
-// migration work that the incremental and full-rescan modes share; the
-// probe instead measures the regime the incremental round structure is
-// for — a standing backlog far larger than the cluster — where round
-// cost is pure scan-and-rank work and the dirty-set structure is the
-// difference between O(dirty) and O(backlog).
+// migration work; the probe instead measures the regime the round
+// structure's caches are for — a standing backlog far larger than the
+// cluster — where round cost is pure scan-and-rank work and the
+// dirty-set structure is the difference between O(dirty) and
+// O(backlog).
 
 // RoundScan reports the backlogged round-scan probe's measurements.
 type RoundScan struct {
@@ -32,10 +32,6 @@ type RoundScan struct {
 	Backlog int
 	// DirtyJobs is the number of jobs marked dirty before each round.
 	DirtyJobs int
-	// Placements counts every placement made across warm-up and measured
-	// rounds — a cross-mode checksum: the incremental and full-rescan
-	// probes of one configuration must report the same value.
-	Placements int
 }
 
 // RoundScanBench admits the simulator's entire workload as a standing
@@ -99,6 +95,5 @@ func (s *Simulator) RoundScanBench(dirtyFrac float64, rounds int) (RoundScan, er
 		Rounds:         measured,
 		Backlog:        backlog,
 		DirtyJobs:      nDirty,
-		Placements:     s.counters.Placements,
 	}, nil
 }

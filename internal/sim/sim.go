@@ -67,14 +67,6 @@ type Config struct {
 	// and counted as truncated.
 	MaxSimSec float64
 
-	// FullRescan disables the incremental scheduling rounds of the
-	// sparse core: the context is Reset (not Advanced) every round, no
-	// change journal is delivered, PendingJobs rescans the backlog and
-	// the no-fit frontier is off. It is the round-structure correctness
-	// oracle the incremental path is cross-checked against; results are
-	// bit-identical either way.
-	FullRescan bool //mlfs:transient run-mode knob; a resume may legally flip it (results are bit-identical either way)
-
 	// Straggler injection (§3.3.3 notes stragglers from failing hardware
 	// and misconfiguration; handling them is the paper's future work,
 	// implemented here as an extension). Each tick each running job's
@@ -308,11 +300,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Failures.Enabled() {
 		f := cfg.Failures
 		s.faults = cluster.NewFaultProcess(cl.NumServers(), f.MTTFSec, f.MTTRSec, f.Seed)
-	}
-	// Incremental rounds are the default; the FullRescan oracle keeps
-	// the historical full-scan rounds.
-	if !cfg.FullRescan {
-		s.ctx.EnableIncremental()
 	}
 	return s, nil
 }
@@ -588,20 +575,16 @@ func (s *Simulator) wobbleDemands() {
 
 // runScheduler invokes the policy and applies its stop decisions. The
 // waiting map is shared with the context, so placements and evictions are
-// reflected in it the moment Schedule returns — no rebuild. Incremental
-// rounds Advance the context (swapping in the change journal accumulated
-// since the previous round) and deliver it to schedulers that opt in via
-// sched.Incremental before Schedule runs.
+// reflected in it the moment Schedule returns — no rebuild. Each round
+// Advances the context (swapping in the change journal accumulated since
+// the previous round) and delivers the journal to schedulers that opt in
+// via sched.Incremental before Schedule runs.
 func (s *Simulator) runScheduler() {
-	if s.ctx.Incremental() {
-		s.ctx.Advance(s.now, s.active, s.waiting)
-		if inc, ok := s.sched.(sched.Incremental); ok {
-			inc.Dirty(s.ctx.RoundDirty())
-		}
-		s.counters.DirtyJobs += len(s.ctx.RoundDirty())
-	} else {
-		s.ctx.Reset(s.now, s.active, s.waiting)
+	s.ctx.Advance(s.now, s.active, s.waiting)
+	if inc, ok := s.sched.(sched.Incremental); ok {
+		inc.Dirty(s.ctx.RoundDirty())
 	}
+	s.counters.DirtyJobs += len(s.ctx.RoundDirty())
 	s.ctx.Completed = s.recentCompleted
 	s.ctx.RecentBandwidthMB = s.counters.BandwidthMB - s.lastBWMark
 	// The buffer handed to the previous round has been consumed; recycle

@@ -121,8 +121,7 @@ func (s *Simulator) livingParked() []*job.Job {
 // Restore overlays a Snapshot payload onto a freshly constructed,
 // never-stepped simulator whose Config matches the snapshotted run
 // (same source, cluster, scheduler and simulation parameters —
-// FullRescan and snapshot/stop settings are free to differ; results are
-// bit-identical with or without incremental rounds). On any error —
+// snapshot/stop settings are free to differ). On any error —
 // ErrMismatch for a snapshot of a different run, ErrCorrupt for
 // undecodable bytes — the simulator is left partially overwritten and
 // must be discarded.
@@ -226,16 +225,14 @@ func (s *Simulator) Restore(payload []byte) error {
 		}
 		j.PlacedTasks = placed
 	}
-	// Rebuild the derived incremental-round state from the restored
-	// queue: Reset points the context at the restored views, then
-	// ResetIncremental re-seeds the pending list and journals every
-	// pending job as dirty — over-invalidation that is harmless by the
-	// journal contract (the freshly restored schedulers carry no warm
-	// caches to invalidate anyway, their DecodeState cleared them).
-	if s.ctx.Incremental() {
-		s.ctx.Reset(s.now, s.active, s.waiting)
-		s.ctx.ResetIncremental()
-	}
+	// Rebuild the derived round state from the restored queue: Reset
+	// points the context at the restored views, then RebuildRoundState
+	// re-seeds the pending list and journals every pending job as dirty
+	// — over-invalidation that is harmless by the journal contract (the
+	// freshly restored schedulers carry no warm caches to invalidate
+	// anyway, their DecodeState cleared them).
+	s.ctx.Reset(s.now, s.active, s.waiting)
+	s.ctx.RebuildRoundState()
 	return nil
 }
 

@@ -94,32 +94,17 @@ func TestChaosCrashReplay(t *testing.T) {
 // TestChaosCrashReplaySourceMode repeats the crash–replay chaos run on
 // the synthetic Philly stream: kill at seeded ticks, restore from the
 // latest snapshot in a fresh simulator (which must re-stream the
-// workload prefix), and match the uninterrupted run bit for bit. The
-// "flip/" cases alternate FullRescan between segments, since a resume
-// may legally switch round mode: every restore lands in the other mode,
-// so the restore path is exercised into and out of incremental rounds.
+// workload prefix), and match the uninterrupted run bit for bit.
 func TestChaosCrashReplaySourceMode(t *testing.T) {
 	seed := int64(100)
-	for _, flip := range []bool{false, true} {
-		prefix := ""
-		if flip {
-			prefix = "flip/"
-		}
-		for _, name := range []string{"fifo", "mlf-rl"} {
-			for _, mttf := range []float64{0, 21600} {
-				seed++
-				flip, name, mttf, seed := flip, name, mttf, seed
-				t.Run(fmt.Sprintf("%s%s/mttf=%.0f", prefix, name, mttf), func(t *testing.T) {
-					t.Parallel()
-					calls := 0
-					runChaosCfg(t, func() sim.Config {
-						cfg := sourceChaosConfig(t, name, mttf)
-						calls++
-						cfg.FullRescan = flip && calls%2 == 0
-						return cfg
-					}, seed)
-				})
-			}
+	for _, name := range []string{"fifo", "mlf-rl"} {
+		for _, mttf := range []float64{0, 21600} {
+			seed++
+			name, mttf, seed := name, mttf, seed
+			t.Run(fmt.Sprintf("%s/mttf=%.0f", name, mttf), func(t *testing.T) {
+				t.Parallel()
+				runChaosCfg(t, func() sim.Config { return sourceChaosConfig(t, name, mttf) }, seed)
+			})
 		}
 	}
 }
